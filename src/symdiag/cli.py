@@ -117,9 +117,9 @@ def solve_record(rec_id, dim, mat, corrupt=False):
 def cmd_solve(in_stream, out_stream):
     """Stream MatrixRecords to ResultRecords, order preserved.
 
-    Malformed records yield an inline error entry and processing continues.
-    Exit code 0 if any record succeeded (or the stream was empty), 2 if all
-    records failed.
+    Malformed records, and records the solver raises on, yield an inline
+    error entry and processing continues.  Exit code 0 if any record
+    succeeded (or the stream was empty), 2 if all records failed.
     """
     n_ok = n_fail = 0
     for line in in_stream:
@@ -128,11 +128,17 @@ def cmd_solve(in_stream, out_stream):
             continue
         try:
             rec_id, dim, mat = parse_record(line)
-            result, _ = solve_record(rec_id, dim, mat)
-            n_ok += 1
         except ParseError as e:
             result = {"id": None, "error": str(e)}
             n_fail += 1
+        else:
+            try:
+                result, _ = solve_record(rec_id, dim, mat)
+                n_ok += 1
+            except (ArithmeticError, ValueError) as e:
+                result = {"id": rec_id,
+                          "error": f"solver error: {type(e).__name__}: {e}"}
+                n_fail += 1
         out_stream.write(_dumps(result) + "\n")
     return 0 if n_ok > 0 or n_fail == 0 else 2
 
@@ -141,9 +147,10 @@ def cmd_verify(in_stream, out_stream, tol, corrupt=False):
     """Check every record against the Jacobi oracle and report a summary.
 
     A record passes when the sorted-eigenvalue deviation from Jacobi and the
-    reconstruction residual are both at most tol.  Exit code 0 iff all pass.
+    reconstruction residual are both at most tol; a record the solver raises
+    on fails and is also counted in solver_errors.  Exit code 0 iff all pass.
     """
-    n = n_pass = n_fail = n_near_tie = 0
+    n = n_pass = n_fail = n_near_tie = n_errors = 0
     max_dev = 0.0
     max_recon = 0.0
     for line in in_stream:
@@ -151,7 +158,13 @@ def cmd_verify(in_stream, out_stream, tol, corrupt=False):
         if not line:
             continue
         rec_id, dim, mat = parse_record(line)
-        result, dec = solve_record(rec_id, dim, mat, corrupt=corrupt)
+        n += 1
+        try:
+            result, dec = solve_record(rec_id, dim, mat, corrupt=corrupt)
+        except (ArithmeticError, ValueError):
+            n_fail += 1
+            n_errors += 1
+            continue
         jac = jacobi_eigen(mat)
         dev = float(np.max(np.abs(
             np.sort(jac.eigenvalues) - np.sort(result["eigenvalues"]))))
@@ -160,7 +173,6 @@ def cmd_verify(in_stream, out_stream, tol, corrupt=False):
         max_recon = max(max_recon, recon)
         if dim == 3 and dec.report.near_tie:
             n_near_tie += 1
-        n += 1
         if dev <= tol and recon <= tol:
             n_pass += 1
         else:
@@ -168,7 +180,7 @@ def cmd_verify(in_stream, out_stream, tol, corrupt=False):
     summary = {"records": n, "pass": n_pass, "fail": n_fail, "tol": tol,
                "max_eigenvalue_deviation": max_dev,
                "max_recon_residual": max_recon,
-               "near_tie_warnings": n_near_tie}
+               "near_tie_warnings": n_near_tie, "solver_errors": n_errors}
     out_stream.write(_dumps(summary) + "\n")
     return 0 if n_fail == 0 else 1
 

@@ -26,6 +26,21 @@ def _require_finite(name, *values):
             raise NonFiniteInput(f"{name}: non-finite component {v!r}")
 
 
+def _store_finite_floats(obj):
+    """Check every field of a matrix value type and store it as a Python float.
+
+    Rows sliced from numpy arrays arrive as numpy scalars, whose arithmetic
+    takes numpy's slow scalar path; converting once here keeps the whole
+    solver on plain floats.  The values (IEEE doubles) are unchanged.
+    """
+    fields = obj.__dict__
+    for k, v in fields.items():
+        if not math.isfinite(v):
+            raise NonFiniteInput(
+                f"{type(obj).__name__}: non-finite component {v!r}")
+        fields[k] = float(v)
+
+
 def wrap_pi(phi):
     """Wrap an angle to the half-open interval (-pi, pi]."""
     r = math.remainder(phi, 2.0 * math.pi)
@@ -53,14 +68,14 @@ def wrapped_diff_mod_pi(a, b):
 
 @dataclass(frozen=True)
 class SymMat2:
-    """Symmetric 2x2 matrix stored by its unique components."""
+    """Symmetric 2x2 matrix stored by its unique components, as Python floats."""
 
     a11: float
     a22: float
     a12: float
 
     def __post_init__(self):
-        _require_finite("SymMat2", self.a11, self.a22, self.a12)
+        _store_finite_floats(self)
 
     def to_array(self):
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -75,7 +90,8 @@ class SymMat2:
 
 @dataclass(frozen=True)
 class SymMat3:
-    """Symmetric 3x3 matrix stored by its six unique components.
+    """Symmetric 3x3 matrix stored by its six unique components, as Python
+    floats.
 
     Symmetry is structural: a21 = a12 etc. by construction, never checked.
     """
@@ -88,8 +104,7 @@ class SymMat3:
     a23: float
 
     def __post_init__(self):
-        _require_finite("SymMat3", self.a11, self.a22, self.a33,
-                        self.a12, self.a13, self.a23)
+        _store_finite_floats(self)
 
     @classmethod
     def from_array(cls, m):
@@ -227,12 +242,23 @@ def rot3z(phi3):
 
 
 def compose_rotation(angles):
-    """Product rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in exactly that order."""
+    """Product rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in exactly that order.
+
+    Every entry of rot3x . rot3y is a single product plus exact zeros, so it
+    is written out; the "+ 0.0" gives the +0 a matrix product sums to where
+    that single product is -0.  The result is bitwise that of the two
+    matrix products.
+    """
     if isinstance(angles, Angles3):
         p1, p2, p3 = angles.as_tuple()
     else:
         p1, p2, p3 = angles
-    return rot3x(p1) @ rot3y(p2) @ rot3z(p3)
+    c1, s1 = math.cos(p1), math.sin(p1)
+    c2, s2 = math.cos(p2), math.sin(p2)
+    xy = np.array([[c2, 0.0, s2 + 0.0],
+                   [s1 * s2 + 0.0, c1, -s1 * c2 + 0.0],
+                   [-c1 * s2 + 0.0, s1 + 0.0, c1 * c2]])
+    return xy @ rot3z(p3)
 
 
 def angle_of(r):

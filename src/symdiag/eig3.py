@@ -13,20 +13,21 @@ solution, or (repeated, repeated, distinct) on the double-root branch.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    AngleOfZeroVector,
     Angles3,
     Branch,
     EigenDecomp3,
     SolveReport,
     SymMat3,
-    angle_of,
     compose_rotation,
     rot3x,
     rot3y,
+    wrap_half_pi,
     wrapped_diff_mod_pi,
 )
 
@@ -226,11 +227,16 @@ def g_vectors(lambdas, phi2, phi3, v, w):
 
 
 def _rotated_angle(cos_psi, sin_psi, gx, gy):
-    # angle of R(-psi) . g without building the matrix
-    return angle_of((cos_psi * gx + sin_psi * gy, -sin_psi * gx + cos_psi * gy))
+    """angle_of(R(-psi) . g), computed without building the matrix."""
+    x = cos_psi * gx + sin_psi * gy
+    y = -sin_psi * gx + cos_psi * gy
+    if x == 0.0 and y == 0.0:
+        raise AngleOfZeroVector("angle_of requires a nonzero vector")
+    a = math.atan2(y, x)
+    return math.pi if a == -math.pi else a
 
 
-def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1, g2):
+def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1x, g1y, g2x, g2y):
     """phi1 estimate from each f/g route; NaN where the route is unavailable.
 
     cs1/cs2 are the (cos, sin) of the f-vector angles psi1, psi2.  A route
@@ -238,10 +244,10 @@ def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1, g2):
     latter can underflow to exactly zero for nearly diagonal matrices whose
     angle quotients round to their endpoints.
     """
-    p11 = (_rotated_angle(cs1[0], cs1[1], g1[0], g1[1])
-           if n1 > tol_f and (g1[0] != 0.0 or g1[1] != 0.0) else math.nan)
-    p12 = (0.5 * _rotated_angle(cs2[0], cs2[1], g2[0], g2[1])
-           if n2 > tol_f and (g2[0] != 0.0 or g2[1] != 0.0) else math.nan)
+    p11 = (_rotated_angle(cs1[0], cs1[1], g1x, g1y)
+           if n1 > tol_f and (g1x != 0.0 or g1y != 0.0) else math.nan)
+    p12 = (0.5 * _rotated_angle(cs2[0], cs2[1], g2x, g2y)
+           if n2 > tol_f and (g2x != 0.0 or g2y != 0.0) else math.nan)
     return p11, p12
 
 
@@ -303,9 +309,9 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
     candidates = []
     for s2, s3 in combos:
         # cos(phi2), cos(2 phi3), w, v are even in the signs; the sines flip
-        g1 = (s3 * g1x_mag, s2 * g1y_mag)
-        g2 = (g2x, s2 * s3 * g2y_mag)
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1, g2)
+        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2,
+                                    s3 * g1x_mag, s2 * g1y_mag,
+                                    g2x, s2 * s3 * g2y_mag)
         diff = (wrapped_diff_mod_pi(p11, p12)
                 if n1 > tol_f and n2 > tol_f else math.nan)
         candidates.append((s2, s3, p11, p12, diff))
@@ -372,11 +378,12 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
             c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
             s3x2 = math.sin(2.0 * phi3_mag)
             s2x2 = 2.0 * s2m * c2
-            g1 = (s3 * 0.5 * gap12 * c2 * s3x2,
-                  s2 * 0.5 * (gap12 * w + gap23) * s2x2)
-            g2 = (gap12 * (1.0 + (v - 2.0) * w) + gap23 * v,
-                  s2 * s3 * gap12 * s2m * s3x2)
-            p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1, g2)
+            p11, p12 = _phi1_candidates(
+                n1, n2, tol_f, cs1, cs2,
+                s3 * 0.5 * gap12 * c2 * s3x2,
+                s2 * 0.5 * (gap12 * w + gap23) * s2x2,
+                gap12 * (1.0 + (v - 2.0) * w) + gap23 * v,
+                s2 * s3 * gap12 * s2m * s3x2)
 
     angles, signs = _assemble_angles(n1, n2, tol_f, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
@@ -423,9 +430,8 @@ def degenerate_double(a: SymMat3, lam, lam3):
     g1y_mag = 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag)
     candidates = []
     for s2 in (1, -1):
-        g1 = (0.0, s2 * g1y_mag)
-        g2 = ((lam - lam3) * s, 0.0)
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1, g2)
+        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, 0.0,
+                                    s2 * g1y_mag, (lam - lam3) * s, 0.0)
         diff = (wrapped_diff_mod_pi(p11, p12)
                 if n1 > tol_f and n2 > tol_f else math.nan)
         candidates.append((s2, 1, p11, p12, diff))
@@ -486,7 +492,21 @@ def _polish_angles(a_arr, lambdas, angles, scale):
         res = float(np.linalg.norm(rec - a_arr))
         if res < best[0]:
             best = (res, phis.copy())
-    return Angles3(*best[1]), best[0]
+    # Angles3 wraps each angle by pi on its own.  For phi3 that only flips
+    # two columns of D, but D is invariant under (phi1 + pi, -phi2, -phi3)
+    # and (phi1, phi2 + pi, -phi3), so an odd wrap of phi1 or phi2 must
+    # negate the angles after it.
+    p1, p2, p3 = best[1].tolist()
+    if _half_turns(p1) % 2:
+        p2, p3 = -p2, -p3
+    if _half_turns(p2) % 2:
+        p3 = -p3
+    return Angles3(p1, p2, p3), best[0]
+
+
+def _half_turns(phi):
+    """How many times wrap_half_pi shifts phi by pi."""
+    return round((phi - wrap_half_pi(phi)) / math.pi)
 
 
 def _double_root_lambdas(lambdas):
@@ -501,9 +521,21 @@ def _double_root_lambdas(lambdas):
     return 0.5 * (l2 + l3), l1
 
 
-def _reconstruction_residual(a: SymMat3, d, lambdas):
-    recon = (d * lambdas) @ d.T
-    return float(np.linalg.norm(recon - a.to_array())) / a.scale()
+def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
+    """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries."""
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d.tolist()
+    l1, l2, l3 = lambdas
+    e11, e12, e13 = d11 * l1, d12 * l2, d13 * l3
+    e21, e22, e23 = d21 * l1, d22 * l2, d23 * l3
+    e31, e32, e33 = d31 * l1, d32 * l2, d33 * l3
+    r11 = e11 * d11 + e12 * d12 + e13 * d13 - a.a11
+    r22 = e21 * d21 + e22 * d22 + e23 * d23 - a.a22
+    r33 = e31 * d31 + e32 * d32 + e33 * d33 - a.a33
+    r12 = e11 * d21 + e12 * d22 + e13 * d23 - a.a12
+    r13 = e11 * d31 + e12 * d32 + e13 * d33 - a.a13
+    r23 = e21 * d31 + e22 * d32 + e23 * d33 - a.a23
+    return math.sqrt(r11 * r11 + r22 * r22 + r33 * r33
+                     + 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)) / scale
 
 
 def diagonalize3(a: SymMat3) -> EigenDecomp3:
@@ -551,15 +583,19 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
                 branch = Branch.DOUBLE_ROOT
 
     d = compose_rotation(angles)
-    recon_res = _reconstruction_residual(a, d, lambdas)
+    recon_res = _reconstruction_residual(a, d, lambdas, scale)
     if recon_res > 1e-12:
         polished, abs_res = _polish_angles(a.to_array(), lambdas, angles,
                                            scale)
         if abs_res / scale < recon_res:
             angles = polished
-            recon_res = abs_res / scale
             d = compose_rotation(angles)
-    report = replace(report, recon_residual=recon_res)
+            # the residual of the d returned, not of the unwrapped polish
+            recon_res = _reconstruction_residual(a, d, lambdas, scale)
+    report = SolveReport(selected_signs=report.selected_signs,
+                         phi1_candidates=report.phi1_candidates,
+                         f1_norm=report.f1_norm, f2_norm=report.f2_norm,
+                         recon_residual=recon_res, near_tie=report.near_tie)
     return EigenDecomp3(lambda1=lambdas[0], lambda2=lambdas[1],
                         lambda3=lambdas[2], angles=angles, d=d,
                         branch=branch, report=report)

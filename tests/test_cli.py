@@ -22,6 +22,13 @@ from symdiag.cli import (
 DATA = Path(__file__).parent / "data"
 GOLDEN_INPUT = DATA / "golden_input.jsonl"
 GOLDEN_EXPECTED = DATA / "golden_expected.jsonl"
+# Finite entries whose squares overflow a double: the solver raises on it.
+HUGE_RECORD = json.dumps({"id": "huge", "a11": 1e200, "a22": 2e200,
+                          "a33": 3e200, "a12": 1e199, "a13": 2e199,
+                          "a23": 3e199})
+NORMAL_RECORD = json.dumps({"id": "normal", "a11": 2.0, "a22": 1.0,
+                            "a33": 0.5, "a12": 0.3, "a13": -0.2,
+                            "a23": 0.1})
 
 
 class TestParseRecord:
@@ -125,6 +132,13 @@ class TestCmdSolve:
         rc, out = self.run('\n{"a11": 1, "a22": 2, "a12": 0}\n\n')
         assert rc == 0 and len(out.splitlines()) == 1
 
+    def test_solver_error_inline_and_stream_continues(self):
+        rc, out = self.run(HUGE_RECORD + "\n" + NORMAL_RECORD + "\n")
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert rc == 0 and len(lines) == 2
+        assert lines[0]["id"] == "huge" and "error" in lines[0]
+        assert lines[1]["id"] == "normal" and lines[1]["branch"] == "Generic"
+
 
 class TestCmdVerify:
     def corpus(self, n, seed):
@@ -157,6 +171,16 @@ class TestCmdVerify:
         out = io.StringIO()
         rc = cmd_verify(io.StringIO("\n".join(lines) + "\n"), out, tol=1e-7)
         assert rc == 0
+
+    def test_solver_error_counts_as_failed(self):
+        out = io.StringIO()
+        rc = cmd_verify(io.StringIO(HUGE_RECORD + "\n" + NORMAL_RECORD + "\n"),
+                        out, tol=1e-9)
+        summary = json.loads(out.getvalue())
+        assert rc == 1
+        assert summary["records"] == 2
+        assert summary["pass"] == 1 and summary["fail"] == 1
+        assert summary["solver_errors"] == 1
 
     def test_corrupt_hook_reports_failures(self):
         out = io.StringIO()

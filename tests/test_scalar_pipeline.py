@@ -1,0 +1,125 @@
+"""The 3x3 solver on plain Python floats.
+
+SymMat3 stores its components as Python floats, compose_rotation writes
+rot3x . rot3y out by hand, and diagonalize3 computes its residual from the
+six unique entries.  These tests pin that each of those gives the same
+numbers as the numpy forms it replaces, and that the self-reported
+residual describes the d actually returned.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from symdiag import (
+    Angles3,
+    SymMat2,
+    SymMat3,
+    compose_rotation,
+    diagonalize3,
+    residuals,
+    rot3x,
+    rot3y,
+    rot3z,
+)
+from symdiag.eig3 import _polish_angles
+
+N_ROWS = 10_000
+# A gap-1e-6 matrix whose Gauss-Newton polish steps phi1 across +-pi/2.
+POLISH_WRAP = (1.6497928216124795, 0.7674019634813695, 0.21929287918095133,
+               -0.8934358682923136, -0.10124845584288253, 0.06292232848062265)
+
+
+def uniform_rows(n, seed):
+    """Entries uniform in [-1, 1], as criterion 1 draws them."""
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 6))
+
+
+def clustered_rows(n, seed):
+    """Q . diag(lam, lam + g, lam + 2) . Q^T as criterion 4 builds them, with
+    g over an exact double root and the near-boundary gaps."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n, 6))
+    gaps = (0.0, 1e-9, 1e-6, 1e-3)
+    for i in range(n):
+        lam = rng.uniform(-3.0, 3.0)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = (q * np.array([lam, lam + gaps[i % len(gaps)], lam + 2.0])) @ q.T
+        m = 0.5 * (m + m.T)
+        rows[i] = (m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
+    return rows
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return np.vstack([uniform_rows(N_ROWS, 201), clustered_rows(N_ROWS, 202),
+                      np.array([POLISH_WRAP])])
+
+
+def test_components_stored_as_python_floats():
+    row = uniform_rows(1, 203)[0]
+    a = SymMat3(*row)
+    assert all(type(x) is float for x in
+               (a.a11, a.a22, a.a33, a.a12, a.a13, a.a23))
+    b = SymMat2(*row[:3])
+    assert all(type(x) is float for x in (b.a11, b.a22, b.a12))
+    assert type(SymMat3(1, 2, 3, 0, 0, 0).a11) is float
+
+
+def test_numpy_scalar_and_float_inputs_bitwise_equal(rows):
+    for row in rows:
+        x = diagonalize3(SymMat3(*row))              # numpy float64 scalars
+        y = diagonalize3(SymMat3(*row.tolist()))     # Python floats
+        assert np.array(x.lambdas).tobytes() == np.array(y.lambdas).tobytes()
+        assert (np.array(x.angles.as_tuple()).tobytes()
+                == np.array(y.angles.as_tuple()).tobytes())
+        assert x.d.tobytes() == y.d.tobytes()
+
+
+def test_compose_rotation_bitwise_equals_matrix_product():
+    special = (0.0, -0.0, 1e-300, -5e-324, 0.3, -0.3, 0.5 * math.pi,
+               -0.5 * math.pi, math.pi, -math.pi, 2.5, -2.5, 7.0)
+    triples = list(itertools.product(special, repeat=3))
+    rng = np.random.default_rng(204)
+    triples += [tuple(t) for t in
+                rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist()]
+    for p1, p2, p3 in triples:
+        expected = rot3x(p1) @ rot3y(p2) @ rot3z(p3)
+        # tobytes distinguishes +0 from -0
+        assert compose_rotation((p1, p2, p3)).tobytes() == expected.tobytes()
+
+
+def test_reported_residual_matches_oracle(rows):
+    for row in rows:
+        a = SymMat3(*row)
+        dec = diagonalize3(a)
+        recon, _, _ = residuals(a, dec)
+        assert abs(dec.report.recon_residual - recon) <= 1e-15
+
+
+def test_polished_phi1_wrap_keeps_the_rotation():
+    a = SymMat3(*POLISH_WRAP)
+    dec = diagonalize3(a)
+    recon, _, _ = residuals(a, dec)
+    assert recon <= 1e-10
+    assert abs(dec.report.recon_residual - recon) <= 1e-15
+
+
+def test_polish_across_the_range_boundary_keeps_the_rotation():
+    # the matrix's angles lie just past +-pi/2 in phi1 or phi2, the start
+    # just inside: Gauss-Newton steps across, and the triple it returns
+    # must be wrapped into range without changing the reconstruction
+    lambdas = (3.0, -1.0, 0.5)
+    eps = 1e-4
+    h = 0.5 * math.pi
+    for true, start in (((h + eps, 0.4, -0.2), (h - eps, 0.4, -0.2)),
+                        ((-h - eps, -0.3, 0.7), (-h + eps, -0.3, 0.7)),
+                        ((0.3, h + eps, 0.6), (0.3, h - eps, 0.6))):
+        d0 = compose_rotation(true)
+        a_arr = (d0 * np.array(lambdas)) @ d0.T
+        angles, res = _polish_angles(a_arr, lambdas, Angles3(*start), 4.0)
+        d = compose_rotation(angles)
+        assert res <= 1e-12
+        assert np.linalg.norm((d * np.array(lambdas)) @ d.T - a_arr) <= 1e-12

@@ -6,6 +6,9 @@ cubic; the orthogonal factor D is recovered as three rotation angles
 phi2 and phi3 are rational in the matrix entries and eigenvalues, which
 leaves four sign combinations; consistency of two independent estimates of
 phi1 (one from each of two 2-vector identities) selects the combination.
+One selection routine scores the candidates: the generic branch hands it
+all four combinations, the double-root branch (phi3 = 0) the two signs of
+phi2.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -78,11 +81,15 @@ class CubicCoeffs:
 
 @dataclass(frozen=True)
 class PQ:
-    """Cubic invariants p, q and the arccos angle delta (absent near p = 0)."""
+    """Cubic invariants p, q and the arccos angle delta (absent near p = 0).
+
+    double_root records compute_pq's classification of a repeated pair.
+    """
 
     p: float
     q: float
     delta: float | None = None
+    double_root: bool = False
 
 
 def triple_root_threshold(scale):
@@ -148,7 +155,8 @@ def compute_pq(coeffs: CubicCoeffs) -> PQ:
     if 4.0 * p**3 - q * q <= discriminant_threshold(s):
         # double root: the arccos argument is +-1 up to (possibly large
         # relative) rounding in q; the sign of q decides the endpoint
-        return PQ(p=p, q=q, delta=0.0 if q >= 0.0 else math.pi)
+        return PQ(p=p, q=q, delta=0.0 if q >= 0.0 else math.pi,
+                  double_root=True)
     arg = q / (2.0 * math.sqrt(p**3))
     if abs(arg) > 1.0:
         if abs(arg) > 1.0 + CLAMP_SLACK:
@@ -207,23 +215,48 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
     return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v), "w")
 
 
+def _f_route(a: SymMat3, scale):
+    """The f-vectors f1, f2 with their norms, zero tolerance and directions.
+
+    cs1/cs2 are the (cos, sin) of the f-vector angles psi1, psi2; an
+    f-vector at or below tol_f gets the placeholder direction (1, 0).
+    """
+    f1x, f1y = a.a12, -a.a13
+    f2x, f2y = a.a22 - a.a33, -2.0 * a.a23
+    n1 = math.hypot(f1x, f1y)
+    n2 = math.hypot(f2x, f2y)
+    tol_f = F_ZERO_EPS * scale
+    cs1 = (f1x / n1, f1y / n1) if n1 > tol_f else (1.0, 0.0)
+    cs2 = (f2x / n2, f2y / n2) if n2 > tol_f else (1.0, 0.0)
+    return (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2
+
+
 def f_vectors(a: SymMat3):
     """The two entry-built 2-vectors used to recover phi1."""
-    f1 = np.array([a.a12, -a.a13])
-    f2 = np.array([a.a22 - a.a33, -2.0 * a.a23])
-    return f1, f2
+    f1, f2 = _f_route(a, a.scale())[:2]
+    return np.array(f1), np.array(f2)
+
+
+def _g_components(gap12, gap23, phi2, phi3, v, w):
+    """(g1x, g1y, g2x, g2y) with gap12 = l1 - l2 and gap23 = l2 - l3.
+
+    g1x is odd in phi3, g1y in phi2, g2y in both and g2x is even, so the
+    components for signed angles are those for the magnitudes with signs
+    applied.
+    """
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    s3x2 = math.sin(2.0 * phi3)
+    return (0.5 * gap12 * c2 * s3x2,
+            0.5 * (gap12 * w + gap23) * (2.0 * s2 * c2),
+            gap12 * (1.0 + (v - 2.0) * w) + gap23 * v,
+            gap12 * s2 * s3x2)
 
 
 def g_vectors(lambdas, phi2, phi3, v, w):
     """The eigenvalue/angle-built 2-vectors: g1 = R(phi1) f1, g2 = R(2 phi1) f2."""
     l1, l2, l3 = lambdas
-    s2phi2 = math.sin(2.0 * phi2)
-    s2phi3 = math.sin(2.0 * phi3)
-    g1 = np.array([0.5 * (l1 - l2) * math.cos(phi2) * s2phi3,
-                   0.5 * ((l1 - l2) * w + l2 - l3) * s2phi2])
-    g2 = np.array([(l1 - l2) * (1.0 + (v - 2.0) * w) + (l2 - l3) * v,
-                   (l1 - l2) * math.sin(phi2) * s2phi3])
-    return g1, g2
+    g1x, g1y, g2x, g2y = _g_components(l1 - l2, l2 - l3, phi2, phi3, v, w)
+    return np.array([g1x, g1y]), np.array([g2x, g2y])
 
 
 def _rotated_angle(cos_psi, sin_psi, gx, gy):
@@ -236,19 +269,48 @@ def _rotated_angle(cos_psi, sin_psi, gx, gy):
     return math.pi if a == -math.pi else a
 
 
-def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g1x, g1y, g2x, g2y):
+def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3):
     """phi1 estimate from each f/g route; NaN where the route is unavailable.
 
-    cs1/cs2 are the (cos, sin) of the f-vector angles psi1, psi2.  A route
-    needs both its f-vector above tolerance and its g-vector nonzero; the
-    latter can underflow to exactly zero for nearly diagonal matrices whose
-    angle quotients round to their endpoints.
+    g holds the g-vector components at the angle magnitudes; s2, s3 are the
+    signs of phi2 and phi3.  A route needs both its f-vector above
+    tolerance and its g-vector nonzero; the latter can underflow to exactly
+    zero for nearly diagonal matrices whose angle quotients round to their
+    endpoints.
     """
-    p11 = (_rotated_angle(cs1[0], cs1[1], g1x, g1y)
+    g1x, g1y, g2x, g2y = g
+    p11 = (_rotated_angle(cs1[0], cs1[1], s3 * g1x, s2 * g1y)
            if n1 > tol_f and (g1x != 0.0 or g1y != 0.0) else math.nan)
-    p12 = (0.5 * _rotated_angle(cs2[0], cs2[1], g2x, g2y)
+    p12 = (0.5 * _rotated_angle(cs2[0], cs2[1], g2x, s2 * s3 * g2y)
            if n2 > tol_f and (g2x != 0.0 or g2y != 0.0) else math.nan)
     return p11, p12
+
+
+def _select_signs(combos, n1, n2, tol_f, cs1, cs2, g):
+    """Pick the (s2, s3) sign combination whose two phi1 estimates agree.
+
+    With both f-vectors above tolerance, the combination minimizing the
+    wrapped mod-pi difference between the two estimates wins; the first in
+    ``combos`` order within TIE_EPS of the minimum is taken, and near_tie
+    flags a runner-up within NEAR_TIE_EPS.  With a single usable route any
+    combination is valid and the first is used.  Returns the selected
+    (s2, s3, p11, p12, diff), every candidate and near_tie.
+    """
+    both = n1 > tol_f and n2 > tol_f
+    candidates = []
+    for s2, s3 in combos:
+        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
+        diff = wrapped_diff_mod_pi(p11, p12) if both else math.nan
+        candidates.append((s2, s3, p11, p12, diff))
+    candidates = tuple(candidates)
+    scored = [c for c in candidates if not math.isnan(c[4])]
+    if not scored:
+        return candidates[0], candidates, False
+    best = min(c[4] for c in scored)
+    sel = next(c for c in scored if c[4] <= best + TIE_EPS)
+    others = [c[4] for c in scored if c is not sel]
+    near_tie = bool(others) and TIE_EPS < min(others) - sel[4] <= NEAR_TIE_EPS
+    return sel, candidates, near_tie
 
 
 def _assemble_angles(n1, n2, tol_f, p11, p12, s2, s3, phi2_mag, phi3_mag):
@@ -275,61 +337,22 @@ def _assemble_angles(n1, n2, tol_f, p11, p12, s2, s3, phi2_mag, phi3_mag):
 def resolve_signs(a: SymMat3, lambdas, v, w):
     """Select the signs of phi2 and phi3 and recover phi1.
 
-    Enumerates the four combinations (+-arccos sqrt(v), +-arccos sqrt(w)).
-    With both f-vectors nonzero the combination minimizing the wrapped
-    mod-pi difference between the two phi1 estimates wins (ties broken in a
-    fixed preference order); with exactly one nonzero any combination is
-    valid and (+,+) is used.  Both f-vectors zero means the matrix is
-    diagonal with a repeated entry and must go to the double-root branch.
+    Scores the four combinations (+-arccos sqrt(v), +-arccos sqrt(w)) with
+    the shared selection routine, preferring them in the order (+,+),
+    (+,-), (-,+), (-,-).  Both f-vectors zero means the matrix is diagonal
+    with a repeated entry and must go to the double-root branch.
     """
-    scale = a.scale()
-    tol_f = F_ZERO_EPS * scale
-    f1x, f1y = a.a12, -a.a13
-    f2x, f2y = a.a22 - a.a33, -2.0 * a.a23
-    n1 = math.hypot(f1x, f1y)
-    n2 = math.hypot(f2x, f2y)
+    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = _f_route(a, a.scale())
     if n1 <= tol_f and n2 <= tol_f:
         raise BothFVectorsZero("matrix is diagonal with two equal entries")
 
     phi2_mag = math.acos(math.sqrt(_clamp_unit(v, "v")))
     phi3_mag = math.acos(math.sqrt(_clamp_unit(w, "w")))
-    cs1 = (f1x / n1, f1y / n1) if n1 > tol_f else (1.0, 0.0)
-    cs2 = (f2x / n2, f2y / n2) if n2 > tol_f else (1.0, 0.0)
-
     l1, l2, l3 = lambdas
-    c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
-    s3x2 = math.sin(2.0 * phi3_mag)
-    s2x2 = 2.0 * s2m * c2
-    g1y_mag = 0.5 * ((l1 - l2) * w + l2 - l3) * s2x2
-    g1x_mag = 0.5 * (l1 - l2) * c2 * s3x2
-    g2x = (l1 - l2) * (1.0 + (v - 2.0) * w) + (l2 - l3) * v
-    g2y_mag = (l1 - l2) * s2m * s3x2
-
-    combos = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    candidates = []
-    for s2, s3 in combos:
-        # cos(phi2), cos(2 phi3), w, v are even in the signs; the sines flip
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2,
-                                    s3 * g1x_mag, s2 * g1y_mag,
-                                    g2x, s2 * s3 * g2y_mag)
-        diff = (wrapped_diff_mod_pi(p11, p12)
-                if n1 > tol_f and n2 > tol_f else math.nan)
-        candidates.append((s2, s3, p11, p12, diff))
-
-    near_tie = False
-    scored = [c for c in candidates if not math.isnan(c[4])]
-    if scored:
-        best = min(c[4] for c in scored)
-        # first combo within TIE_EPS of the minimum wins (preference order)
-        sel = next(c for c in scored if c[4] <= best + TIE_EPS)
-        others = [c[4] for c in scored if c is not sel]
-        if others:
-            near_tie = TIE_EPS < (min(others) - sel[4]) <= NEAR_TIE_EPS
-    else:
-        # a single usable route (or none): any combination is valid
-        sel = candidates[0]
-
-    s2, s3, p11, p12, _ = sel
+    gap12, gap23 = l1 - l2, l2 - l3
+    g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
+    (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
+        ((1, 1), (1, -1), (-1, 1), (-1, -1)), n1, n2, tol_f, cs1, cs2, g)
 
     # Near 0 or pi/2 the arccos(sqrt(.)) magnitudes square-root-amplify
     # rounding in v and w.  The rotated identities R(phi1) f1 = (g1x, g1y)
@@ -339,8 +362,6 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
     # the denominator) stays below one half, so that two passes of
     # alternating phi1 re-estimation and magnitude refinement contract.
     if n1 > tol_f:
-        gap12 = l1 - l2
-        gap23 = l2 - l3
         for _ in range(2):
             phi1_est = p12 if (math.isnan(p11) or (n2 > n1
                                and not math.isnan(p12))) else p11
@@ -353,6 +374,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
             h2x = c1d * f2x - s1d * f2y
             h2y = s1d * f2x + c1d * f2y
             if phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi:
+                c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
                 den_a = abs(0.5 * gap12 * c2)
                 den_b = abs(gap12 * s2m)
                 k_a = abs(hy) / (2.0 * den_a) if den_a > 0.0 else math.inf
@@ -375,20 +397,12 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
                     phi2_mag = (half if phi2_mag <= 0.25 * math.pi
                                 else 0.5 * math.pi - half)
                     v = math.cos(phi2_mag) ** 2
-            c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
-            s3x2 = math.sin(2.0 * phi3_mag)
-            s2x2 = 2.0 * s2m * c2
-            p11, p12 = _phi1_candidates(
-                n1, n2, tol_f, cs1, cs2,
-                s3 * 0.5 * gap12 * c2 * s3x2,
-                s2 * 0.5 * (gap12 * w + gap23) * s2x2,
-                gap12 * (1.0 + (v - 2.0) * w) + gap23 * v,
-                s2 * s3 * gap12 * s2m * s3x2)
+            g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
+            p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
 
     angles, signs = _assemble_angles(n1, n2, tol_f, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
-    report = SolveReport(selected_signs=signs,
-                         phi1_candidates=tuple(candidates),
+    report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
                          f1_norm=n1, f2_norm=n2, near_tie=near_tie)
     return angles, report
 
@@ -397,8 +411,8 @@ def degenerate_double(a: SymMat3, lam, lam3):
     """Angles for the double-root case lambda1 = lambda2 = lam.
 
     Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3), phi3 = 0, and only the two
-    sign choices of phi2 remain; phi1 comes from the same f/g machinery with
-    the g-vectors in their simplified double-root form.
+    sign choices of phi2 remain; phi1 comes from the shared selection
+    routine with the g-vectors in their simplified double-root form.
     """
     scale = a.scale()
     if abs(lam - lam3) <= DEGENERATE_EPS * scale:
@@ -407,12 +421,7 @@ def degenerate_double(a: SymMat3, lam, lam3):
     # not just by rounding, hence the wider slack than the generic branch
     s = _clamp_unit((a.a11 - lam3) / (lam - lam3), "s", slack=1e-5)
     phi2_mag = math.acos(math.sqrt(s))
-
-    tol_f = F_ZERO_EPS * scale
-    f1x, f1y = a.a12, -a.a13
-    f2x, f2y = a.a22 - a.a33, -2.0 * a.a23
-    n1 = math.hypot(f1x, f1y)
-    n2 = math.hypot(f2x, f2y)
+    _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
 
     # |g1| = |f1| gives |sin(2 phi2)| = 2|f1| / |lam - lam3| straight from the
     # entries.  Near phi2 = 0 or pi/2 the arccos(sqrt(s)) route square-root
@@ -424,38 +433,17 @@ def degenerate_double(a: SymMat3, lam, lam3):
         half = 0.5 * math.asin(sin2)
         phi2_mag = half if phi2_mag <= 0.25 * math.pi else 0.5 * math.pi - half
         s = math.cos(phi2_mag) ** 2
-    cs1 = (f1x / n1, f1y / n1) if n1 > tol_f else (1.0, 0.0)
-    cs2 = (f2x / n2, f2y / n2) if n2 > tol_f else (1.0, 0.0)
 
-    g1y_mag = 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag)
-    candidates = []
-    for s2 in (1, -1):
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, 0.0,
-                                    s2 * g1y_mag, (lam - lam3) * s, 0.0)
-        diff = (wrapped_diff_mod_pi(p11, p12)
-                if n1 > tol_f and n2 > tol_f else math.nan)
-        candidates.append((s2, 1, p11, p12, diff))
-
-    near_tie = False
-    scored = [c for c in candidates if not math.isnan(c[4])]
-    if scored:
-        best = min(c[4] for c in scored)
-        sel = next(c for c in scored if c[4] <= best + TIE_EPS)
-        others = [c[4] for c in scored if c is not sel]
-        if others:
-            near_tie = TIE_EPS < (min(others) - sel[4]) <= NEAR_TIE_EPS
-    else:
-        sel = candidates[0]
-
-    if n1 <= tol_f and n2 <= tol_f:
-        # already diagonal; any phi1 rotates within the repeated eigenspace
-        angles = Angles3(phi1=0.0, phi2=sel[0] * phi2_mag, phi3=0.0)
-        signs = (sel[0], 1)
-    else:
-        angles, signs = _assemble_angles(n1, n2, tol_f, sel[2], sel[3],
-                                         sel[0], sel[1], phi2_mag, 0.0)
-    report = SolveReport(selected_signs=signs,
-                         phi1_candidates=tuple(candidates),
+    # with phi3 = 0, g1x and g2y vanish
+    g = (0.0, 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag),
+         (lam - lam3) * s, 0.0)
+    (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
+        ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
+    # an already diagonal matrix has no usable route and gets phi1 = 0: any
+    # phi1 rotates within the repeated eigenspace
+    angles, signs = _assemble_angles(n1, n2, tol_f, p11, p12,
+                                     s2, s3, phi2_mag, 0.0)
+    report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
                          f1_norm=n1, f2_norm=n2, near_tie=near_tie)
     return angles, report
 
@@ -549,24 +537,17 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     pq = compute_pq(coeffs)
     scale = a.scale()
 
-    branch = None
     if pq.delta is None:
         lam = coeffs.b / 3.0
         lambdas = (lam, lam, lam)
         angles = Angles3(0.0, 0.0, 0.0)
-        f1, f2 = f_vectors(a)
-        report = SolveReport(f1_norm=float(np.hypot(*f1)),
-                             f2_norm=float(np.hypot(*f2)))
+        n1, n2 = _f_route(a, scale)[2:4]
+        report = SolveReport(f1_norm=n1, f2_norm=n2)
         branch = Branch.TRIPLE_ROOT
     else:
         lambdas = eigenvalues3(coeffs, pq)
-        disc = 4.0 * pq.p**3 - pq.q * pq.q
-        if disc <= discriminant_threshold(scale):
-            lam, lam3 = _double_root_lambdas(lambdas)
-            lambdas = (lam, lam, lam3)
-            angles, report = degenerate_double(a, lam, lam3)
-            branch = Branch.DOUBLE_ROOT
-        else:
+        branch = None
+        if not pq.double_root:
             try:
                 v = compute_v(a, lambdas)
                 w = compute_w(a, lambdas, v)
@@ -577,10 +558,12 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
                 else:
                     branch = Branch.GENERIC
             except (BothFVectorsZero, DegenerateEigenvalues, DomainExcursion):
-                lam, lam3 = _double_root_lambdas(lambdas)
-                lambdas = (lam, lam, lam3)
-                angles, report = degenerate_double(a, lam, lam3)
-                branch = Branch.DOUBLE_ROOT
+                pass  # the generic quotients do not fit: reroute
+        if branch is None:
+            lam, lam3 = _double_root_lambdas(lambdas)
+            lambdas = (lam, lam, lam3)
+            angles, report = degenerate_double(a, lam, lam3)
+            branch = Branch.DOUBLE_ROOT
 
     d = compose_rotation(angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)

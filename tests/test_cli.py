@@ -182,6 +182,16 @@ class TestCmdVerify:
         assert summary["pass"] == 1 and summary["fail"] == 1
         assert summary["solver_errors"] == 1
 
+    def test_malformed_line_counts_as_failed(self):
+        out = io.StringIO()
+        rc = cmd_verify(io.StringIO(NORMAL_RECORD + "\n{not json\n"
+                                    + NORMAL_RECORD + "\n"), out, tol=1e-9)
+        summary = json.loads(out.getvalue())
+        assert rc == 1
+        assert summary["records"] == 3
+        assert summary["pass"] == 2 and summary["fail"] == 1
+        assert summary["parse_errors"] == 1 and summary["solver_errors"] == 0
+
     def test_corrupt_hook_reports_failures(self):
         out = io.StringIO()
         rc = cmd_verify(io.StringIO(self.corpus(20, 13)), out, tol=1e-9,
@@ -227,6 +237,14 @@ class TestMainEntry:
                    "--self-test-corrupt"])
         capsys.readouterr()
         assert rc == 1
+
+    def test_verify_malformed_line_still_summarizes(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        path.write_text(NORMAL_RECORD + "\n[1, 2]\n" + NORMAL_RECORD + "\n")
+        rc = main(["verify", "--input", str(path), "--tol", "1e-9"])
+        summary = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert summary["records"] == 3 and summary["parse_errors"] == 1
 
     def test_bench_rejects_n_zero(self, capsys):
         assert main(["bench", "--n", "0", "--seed", "1"]) == 2

@@ -26,6 +26,7 @@ from symdiag import (
     rot3z,
     wrapped_diff_mod_pi,
 )
+from symdiag.eig3 import NEAR_TIE_EPS, TIE_EPS, _select_signs
 from conftest import conjugated, random_sym3, sym3
 
 DIAG321 = SymMat3(3.0, 2.0, 1.0, 0.0, 0.0, 0.0)
@@ -109,6 +110,94 @@ class TestFGVectors:
             s = a.scale()
             assert abs(np.linalg.norm(f1) - np.linalg.norm(g1)) <= 1e-10 * s
             assert abs(np.linalg.norm(f2) - np.linalg.norm(g2)) <= 1e-10 * s
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
+
+
+class TestGVectorSigns:
+    def test_negated_angles_flip_the_odd_components(self):
+        rng = np.random.default_rng(50)
+        for _ in range(1000):
+            lams = tuple(rng.uniform(-4.0, 4.0, 3))
+            phi2, phi3 = rng.uniform(-1.5, 1.5, 2)
+            v, w = rng.uniform(0.0, 1.0, 2)
+            g1, g2 = g_vectors(lams, phi2, phi3, v, w)
+            h1, h2 = g_vectors(lams, -phi2, phi3, v, w)
+            assert same_bits(h1, [g1[0], -g1[1]])
+            assert same_bits(h2, [g2[0], -g2[1]])
+            h1, h2 = g_vectors(lams, phi2, -phi3, v, w)
+            assert same_bits(h1, [-g1[0], g1[1]])
+            assert same_bits(h2, [g2[0], -g2[1]])
+
+
+class TestSelectSigns:
+    # psi1 = 0.3, psi2 = 0.  g1 = (1, t) puts phi1 at atan(t) - 0.3 for
+    # (+, +) and at pi - atan(t) - 0.3 for (+, -); g2 = (1, 0) puts it at 0
+    # for both.  (+, +) therefore beats (+, -) by 2 atan(t).
+    CS1 = (math.cos(0.3), math.sin(0.3))
+    CS2 = (1.0, 0.0)
+
+    def select(self, combos, margin, n2=1.0):
+        g = (1.0, math.tan(0.5 * margin), 1.0, 0.0)
+        return _select_signs(combos, 1.0, n2, 1e-14, self.CS1, self.CS2, g)
+
+    def test_better_combo_wins_in_any_order(self):
+        sel, candidates, _ = self.select(((1, 1), (1, -1)), 1e-3)
+        assert [c[:2] for c in candidates] == [(1, 1), (1, -1)]
+        assert candidates[0][4] == pytest.approx(0.3 - 0.5e-3, abs=1e-15)
+        assert candidates[1][4] == pytest.approx(0.3 + 0.5e-3, abs=1e-15)
+        assert sel is candidates[0]
+        sel, candidates, _ = self.select(((1, -1), (1, 1)), 1e-3)
+        assert sel is candidates[1] and sel[:2] == (1, 1)
+
+    def test_tie_goes_to_the_first_combo(self):
+        for margin in (0.0, 0.05 * TIE_EPS):
+            for combos in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
+                sel, _, near_tie = self.select(combos, margin)
+                assert sel[:2] == combos[0]
+                assert not near_tie
+
+    def test_near_tie_only_inside_the_window(self):
+        for margin, expect in ((0.0, False), (0.05 * TIE_EPS, False),
+                               (20.0 * TIE_EPS, True),
+                               (0.5 * NEAR_TIE_EPS, True),
+                               (2.0 * NEAR_TIE_EPS, False), (1e-3, False)):
+            for combos in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
+                _, _, near_tie = self.select(combos, margin)
+                assert near_tie is expect, (margin, combos)
+
+    def test_single_route_falls_back_to_the_first_combo(self):
+        combos = ((-1, 1), (1, 1), (1, -1), (-1, -1))
+        sel, candidates, near_tie = self.select(combos, 1e-3, n2=0.0)
+        assert sel is candidates[0] and sel[:2] == (-1, 1)
+        assert all(math.isnan(c[4]) and math.isnan(c[3])
+                   for c in candidates)
+        assert not near_tie
+
+
+class TestDoubleRootFlag:
+    def test_set_on_separated_double_roots(self):
+        # criterion 4(a)'s construction
+        rng = np.random.default_rng(104)
+        for _ in range(300):
+            lam = rng.uniform(-3.0, 3.0)
+            lam3 = lam + math.copysign(rng.uniform(0.5, 3.0),
+                                       rng.uniform(-1.0, 1.0))
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            a = sym3((q * np.array([lam, lam, lam3])) @ q.T)
+            assert compute_pq(char_coeffs(a)).double_root
+
+    def test_clear_on_uniform_rows(self):
+        rng = np.random.default_rng(101)
+        for _ in range(1000):
+            assert not compute_pq(char_coeffs(random_sym3(rng))).double_root
+
+    def test_clear_on_triple_roots(self):
+        assert not compute_pq(char_coeffs(
+            SymMat3(2.0, 2.0, 2.0, 0.0, 0.0, 0.0))).double_root
 
 
 class TestRoundTrip:

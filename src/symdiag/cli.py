@@ -5,8 +5,13 @@ closed-form results against the Jacobi oracle, ``bench`` compares
 closed-form and Jacobi throughput on a seeded random matrix stream.
 
 Input records are one JSON object per line with keys a11, a22, a12 for a
-2x2 matrix, plus a33, a13, a23 for a 3x3, and an optional id.  All floats
-are serialized with 17 significant digits so output is byte-reproducible.
+2x2 matrix, plus a33, a13, a23 for a 3x3, and an optional id.  ``solve``
+streams: each line is parsed, solved and written before the next is read.
+All floats are serialized as ``"%.17g" % x``, the bytes of
+``format(float(x), ".17g")``, so output is byte-reproducible.  The
+residuals in each result come from ``oracle.residuals``, whose norms are
+sqrt(x . x) over the flattened difference: bitwise what ``np.linalg.norm``
+returns for a real array.
 """
 
 import argparse
@@ -28,24 +33,23 @@ class ParseError(ValueError):
 
 _KEYS2 = ("a11", "a22", "a12")
 _KEYS3 = ("a11", "a22", "a33", "a12", "a13", "a23")
+_KEYSET2 = frozenset(_KEYS2)
+_KEYSET3 = frozenset(_KEYS3)
 
-
-def _fmt(x):
-    return format(float(x), ".17g")
+# json.dumps(x) with default arguments is this encoder's encode(x).
+_encode = json.JSONEncoder().encode
 
 
 def _dumps(obj):
     """Deterministic JSON with floats at 17 significant digits."""
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
-    return json.dumps(obj)
+        return "%.17g" % obj
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_encode(k) + ": " + _dumps(v)
+                                for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_dumps(v) for v in obj]) + "]"
+    return _encode(obj)
 
 
 def parse_record(line):
@@ -60,9 +64,9 @@ def parse_record(line):
     if rec_id is not None and not isinstance(rec_id, str):
         raise ParseError("id must be a string")
     keys = set(data) - {"id"}
-    if keys == set(_KEYS3):
+    if keys == _KEYSET3:
         dim, names = 3, _KEYS3
-    elif keys == set(_KEYS2):
+    elif keys == _KEYSET2:
         dim, names = 2, _KEYS2
     else:
         raise ParseError(f"unexpected keys {sorted(keys)}; want "
@@ -107,7 +111,7 @@ def solve_record(rec_id, dim, mat, corrupt=False):
         "eigenvalues_sorted": sorted(eig, reverse=True),
         "angles": angles,
         "euler_angles": euler,
-        "eigenvectors": [list(dec.d[:, i]) for i in range(dim)],
+        "eigenvectors": dec.d.T.tolist(),
         "branch": branch,
         "residuals": {"recon_rel": recon, "ortho": ortho,
                       "max_eigvec_res": max(eigvec)},

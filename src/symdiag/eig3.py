@@ -292,7 +292,8 @@ def _select_signs(combos, n1, n2, tol_f, cs1, cs2, g):
     With both f-vectors above tolerance, the combination minimizing the
     wrapped mod-pi difference between the two estimates wins; the first in
     ``combos`` order within TIE_EPS of the minimum is taken, and near_tie
-    flags a runner-up within NEAR_TIE_EPS.  With a single usable route any
+    flags a non-tied runner-up (more than TIE_EPS above the minimum) within
+    NEAR_TIE_EPS of the winner.  With a single usable route any
     combination is valid and the first is used.  Returns the selected
     (s2, s3, p11, p12, diff), every candidate and near_tie.
     """
@@ -308,8 +309,9 @@ def _select_signs(combos, n1, n2, tol_f, cs1, cs2, g):
         return candidates[0], candidates, False
     best = min(c[4] for c in scored)
     sel = next(c for c in scored if c[4] <= best + TIE_EPS)
-    others = [c[4] for c in scored if c is not sel]
-    near_tie = bool(others) and TIE_EPS < min(others) - sel[4] <= NEAR_TIE_EPS
+    # The winner's (-s2, -s3) twin is the same rotation and always ties.
+    others = [c[4] for c in scored if c[4] > best + TIE_EPS]
+    near_tie = bool(others) and min(others) - sel[4] <= NEAR_TIE_EPS
     return sel, candidates, near_tie
 
 

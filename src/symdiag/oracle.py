@@ -141,10 +141,24 @@ def reconstruct(d, lambdas):
     return d @ np.diag(lambdas) @ d.T
 
 
+_EYE = {2: np.eye(2), 3: np.eye(3)}
+
+
+def _norm(x):
+    """``float(np.linalg.norm(x))`` for a real array, without its argument
+    handling: numpy computes the 2-/Frobenius norm as sqrt(x.ravel() .
+    x.ravel()), and both square roots are correctly rounded."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
-    Works for both EigenDecomp2 and EigenDecomp3.
+    Works for both EigenDecomp2 and EigenDecomp3.  Every value is bitwise
+    what ``np.linalg.norm`` of the same difference gives: ``d * lambdas``
+    equals ``d @ np.diag(lambdas)`` up to the sign of zeros, which the
+    squares in the norm remove.
     """
     m = a.to_array()
     scale = a.scale()
@@ -153,9 +167,9 @@ def residuals(a, dec):
     else:
         lambdas = (dec.lambda1, dec.lambda2)
     d = dec.d
-    recon = d @ np.diag(lambdas) @ d.T
-    recon_rel = float(np.linalg.norm(recon - m)) / scale
-    ortho = float(np.linalg.norm(d.T @ d - np.eye(d.shape[0])))
-    eigvec_res = [float(np.linalg.norm(m @ d[:, i] - lam * d[:, i])) / scale
+    recon_rel = _norm((d * lambdas) @ d.T - m) / scale
+    ortho = _norm(d.T @ d - _EYE[len(lambdas)])
+    # One mat-vec per column: the fused m @ d - d * lambdas rounds differently.
+    eigvec_res = [_norm(m @ d[:, i] - lam * d[:, i]) / scale
                   for i, lam in enumerate(lambdas)]
     return recon_rel, ortho, eigvec_res

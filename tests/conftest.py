@@ -21,6 +21,23 @@ def random_sym2(rng):
     return SymMat2(*rng.uniform(-1.0, 1.0, 3))
 
 
+def clustered_sym3(rng, gap):
+    """Q . diag(lam, lam + gap, lam + 2) . Q^T as criterion 4 builds it."""
+    lam = rng.uniform(-3.0, 3.0)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return sym3((q * np.array([lam, lam + gap, lam + 2.0])) @ q.T)
+
+
+# Components of structured rows: exact and signed zeros, repeated entries.
+STRUCTURED_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0)
+
+
+def structured_sym3(rng):
+    """SymMat3 whose components are drawn from STRUCTURED_VALUES."""
+    idx = rng.integers(0, len(STRUCTURED_VALUES), 6)
+    return SymMat3(*(STRUCTURED_VALUES[i] for i in idx))
+
+
 _ACCEPTANCE_RESULTS = {}
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from symdiag.cli import (
     ParseError,
+    _dumps,
     cmd_bench,
     cmd_solve,
     cmd_verify,
@@ -17,6 +18,12 @@ from symdiag.cli import (
     parse_record,
     random_symmetric_stream,
     solve_record,
+)
+from conftest import (
+    clustered_sym3,
+    random_sym2,
+    random_sym3,
+    structured_sym3,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -70,6 +77,44 @@ class TestParseRecord:
     def test_non_object(self):
         with pytest.raises(ParseError):
             parse_record("[1, 2, 3]")
+
+
+def recursive_dumps(obj):
+    """The formatter as first written, kept as the byte-for-byte reference."""
+    if isinstance(obj, dict):
+        items = ", ".join(f"{json.dumps(k)}: {recursive_dumps(v)}"
+                          for k, v in obj.items())
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(recursive_dumps(v) for v in obj) + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return format(float(obj), ".17g")
+    return json.dumps(obj)
+
+
+class TestDumps:
+    def test_special_values_match_the_reference(self):
+        for obj in (-0.0, 0.0, np.float64(-0.0), np.float64(0.1), 1e-310,
+                    -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+                    True, False, None, 0, -12, 2**70, "plain",
+                    "\u00fcn\u00efc\u00f8d\u00e9 \"quoted\"\n",
+                    {"k": [1.5, (2, np.float64(3.25)), {"n": None}],
+                     "\u00e9": [], "e": {}},
+                    [(), [[-0.0]], (True, None, "x")]):
+            assert _dumps(obj) == recursive_dumps(obj), obj
+
+    def test_solve_records_match_the_reference(self):
+        rng = np.random.default_rng(61)
+        mats = [(3, random_sym3(rng)) for _ in range(400)]
+        mats += [(2, random_sym2(rng)) for _ in range(200)]
+        mats += [(3, clustered_sym3(rng, (0.0, 1e-9)[i % 2]))
+                 for i in range(400)]
+        mats += [(3, structured_sym3(rng)) for _ in range(300)]
+        for i, (dim, m) in enumerate(mats):
+            result, _ = solve_record(f"\u00fc{i}", dim, m)
+            assert _dumps(result) == recursive_dumps(result), m
 
 
 class TestSolveRecord:

@@ -169,6 +169,14 @@ class TestSelectSigns:
                 _, _, near_tie = self.select(combos, margin)
                 assert near_tie is expect, (margin, combos)
 
+    def test_winner_twin_is_not_a_near_tie(self):
+        # (-s2, -s3) with phi1 + pi is the winner's rotation, so its mod-pi
+        # difference always ties; only a different combination counts.
+        for phi3, expect in ((1e-8, True), (0.3, False)):
+            dec = diagonalize3(conjugated((0.4, 0.7, phi3), (3.0, 1.0, 2.0)))
+            assert dec.branch is Branch.GENERIC
+            assert dec.report.near_tie is expect, phi3
+
     def test_single_route_falls_back_to_the_first_combo(self):
         combos = ((-1, 1), (1, 1), (1, -1), (-1, -1))
         sel, candidates, near_tie = self.select(combos, 1e-3, n2=0.0)

@@ -11,13 +11,19 @@ from symdiag import (
     SymMat2,
     SymMat3,
     cubic_roots_reference,
+    diagonalize2,
     diagonalize3,
     jacobi_eigen,
     reconstruct,
     residuals,
     rot2,
 )
-from conftest import random_sym3
+from conftest import (
+    clustered_sym3,
+    random_sym2,
+    random_sym3,
+    structured_sym3,
+)
 
 
 class TestJacobi:
@@ -138,3 +144,29 @@ class TestResiduals:
             assert recon < 1e-10
             assert ortho < 1e-12
             assert max(eigvec) < 1e-10
+
+    def test_bitwise_equal_to_norm_reference(self):
+        def reference(a, dec):
+            m = a.to_array()
+            scale = a.scale()
+            lambdas = (dec.lambdas if isinstance(a, SymMat3)
+                       else (dec.lambda1, dec.lambda2))
+            d = dec.d
+            recon = d @ np.diag(lambdas) @ d.T
+            return (float(np.linalg.norm(recon - m)) / scale,
+                    float(np.linalg.norm(d.T @ d - np.eye(d.shape[0]))),
+                    [float(np.linalg.norm(m @ d[:, i] - lam * d[:, i]))
+                     / scale for i, lam in enumerate(lambdas)])
+
+        rng = np.random.default_rng(55)
+        mats = [random_sym3(rng) for _ in range(1500)]
+        mats += [clustered_sym3(rng, (0.0, 1e-9, 1e-6)[i % 3])
+                 for i in range(1500)]
+        mats += [structured_sym3(rng) for _ in range(1000)]
+        for m in mats:
+            dec = diagonalize3(m)
+            assert residuals(m, dec) == reference(m, dec), m
+        for _ in range(1000):
+            m = random_sym2(rng)
+            dec = diagonalize2(m)
+            assert residuals(m, dec) == reference(m, dec), m

@@ -28,8 +28,6 @@ from .core import (
     SolveReport,
     SymMat3,
     compose_rotation,
-    rot3x,
-    rot3y,
     wrap_half_pi,
     wrapped_diff_mod_pi,
 )
@@ -450,48 +448,111 @@ def degenerate_double(a: SymMat3, lam, lam3):
     return angles, report
 
 
-# Rotation generators (skew matrices) about the fixed basis axes.
-_GEN1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-_GEN2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-_GEN3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def _rotation_rows(phi1, phi2, phi3):
+    """Rows of rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in floats."""
+    c1, s1 = math.cos(phi1), math.sin(phi1)
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    c3, s3 = math.cos(phi3), math.sin(phi3)
+    s1s2, c1s2 = s1 * s2, c1 * s2
+    return ((c2 * c3, -c2 * s3, s2),
+            (s1s2 * c3 + c1 * s3, c1 * c3 - s1s2 * s3, -s1 * c2),
+            (s1 * s3 - c1s2 * c3, c1s2 * s3 + s1 * c3, c1 * c2))
 
 
-def _polish_angles(a_arr, lambdas, angles, scale):
+def _jacobian6(phi1, phi2, rec):
+    """The columns dM/dphi_k, k = 1, 2, 3, of M = D . diag(lambdas) . D^T.
+
+    rec and each column hold six unique entries (11, 22, 33, 12, 13, 23).
+    dD/dphi_k = skew(omega_k) . D makes column k the commutator
+    skew(omega_k) . M - M . skew(omega_k) = P + P^T, P = skew(omega_k) . M.
+    """
+    c1, s1 = math.cos(phi1), math.sin(phi1)
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    m11, m22, m33, m12, m13, m23 = rec
+    cols = []
+    # omega_1 = e1, omega_2 = rot3x(phi1) e2, omega_3 = rot3x . rot3y e3
+    for x, y, z in ((1.0, 0.0, 0.0), (0.0, c1, s1), (s2, -s1 * c2, c1 * c2)):
+        cols.append((2.0 * (y * m13 - z * m12),
+                     2.0 * (z * m12 - x * m23),
+                     2.0 * (x * m23 - y * m13),
+                     y * m23 - z * m22 + z * m11 - x * m13,
+                     y * m33 - z * m23 + x * m12 - y * m11,
+                     z * m13 - x * m33 + x * m22 - y * m12))
+    return cols
+
+
+def _solve_spd3(a11, a12, a13, a22, a23, a33, b1, b2, b3):
+    """x with A . x = b for a symmetric positive definite 3x3 A, by LDL^T.
+
+    Returns None when a pivot is not positive or x is not finite.
+    """
+    if not a11 > 0.0:
+        return None
+    l21, l31 = a12 / a11, a13 / a11
+    d2 = a22 - l21 * a12
+    if not d2 > 0.0:
+        return None
+    t = a23 - l31 * a12
+    l32 = t / d2
+    d3 = a33 - l31 * a13 - l32 * t
+    if not d3 > 0.0:
+        return None
+    y2 = b2 - l21 * b1
+    x3 = (b3 - l31 * b1 - l32 * y2) / d3
+    x2 = y2 / d2 - l32 * x3
+    x1 = b1 / a11 - l21 * x2 - l31 * x3
+    if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
+        return x1, x2, x3
+    return None
+
+
+def _polish_angles(a: SymMat3, lambdas, angles, scale):
     """Damped Gauss-Newton on the reconstruction residual over the angles.
 
     The closed-form recovery is exact in exact arithmetic, but isolated
     conditioning corners (an angle within rounding distance of 0 or pi/2)
     can leave a few orders of magnitude on the table; one or two quadratic
     steps recover them.  Returns the improved angles and absolute residual.
+
+    Everything is computed on the six unique entries of symmetric 3x3
+    matrices, in floats.  The residual norm is the Frobenius norm, so the
+    off-diagonal entries are weighted by 2 (_dot6).  The Jacobian uses
+    dD/dphi_k = skew(omega_k) . D for D = rot3x(phi1) . rot3y(phi2) .
+    rot3z(phi3), with omega_1 = e1, omega_2 = rot3x(phi1) e2 and omega_3 =
+    rot3x(phi1) rot3y(phi2) e3 (see _jacobian6).  A step comes from the
+    normal equations (J^T J + 1e-14 scale^2 I) x = J^T r; when they cannot
+    be solved (a pivot that is not positive, a step that is not finite)
+    the best angles so far are returned.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    phis = np.array(angles.as_tuple())
-    d = compose_rotation(tuple(phis))
-    rec = (d * lam) @ d.T
-    best = (float(np.linalg.norm(rec - a_arr)), phis)
-    damp = (1e-14 * scale * scale) * np.eye(3)
+    p = angles.as_tuple()
+    rec = _reconstruct6(_rotation_rows(*p), lambdas)
+    r = _residual6(rec, a)
+    best_res, best = math.sqrt(_dot6(r, r)), p
+    damp = 1e-14 * scale * scale
     for _ in range(2):
-        r1 = rot3x(phis[0])
-        r12 = r1 @ rot3y(phis[1])
-        gens = (_GEN1, r1 @ _GEN2 @ r1.T, r12 @ _GEN3 @ r12.T)
-        j = np.column_stack([(g @ rec - rec @ g).reshape(9) for g in gens])
-        resid = (rec - a_arr).reshape(9)
-        phis = phis - np.linalg.solve(j.T @ j + damp, j.T @ resid)
-        d = compose_rotation(tuple(phis))
-        rec = (d * lam) @ d.T
-        res = float(np.linalg.norm(rec - a_arr))
-        if res < best[0]:
-            best = (res, phis.copy())
+        j1, j2, j3 = _jacobian6(p[0], p[1], rec)
+        step = _solve_spd3(
+            _dot6(j1, j1) + damp, _dot6(j1, j2), _dot6(j1, j3),
+            _dot6(j2, j2) + damp, _dot6(j2, j3), _dot6(j3, j3) + damp,
+            _dot6(j1, r), _dot6(j2, r), _dot6(j3, r))
+        if step is None:
+            break
+        p = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
+        rec = _reconstruct6(_rotation_rows(*p), lambdas)
+        r = _residual6(rec, a)
+        res = math.sqrt(_dot6(r, r))
+        if res < best_res:
+            best_res, best = res, p
     # Angles3 wraps each angle by pi on its own.  For phi3 that only flips
     # two columns of D, but D is invariant under (phi1 + pi, -phi2, -phi3)
     # and (phi1, phi2 + pi, -phi3), so an odd wrap of phi1 or phi2 must
     # negate the angles after it.
-    p1, p2, p3 = best[1].tolist()
+    p1, p2, p3 = best
     if _half_turns(p1) % 2:
         p2, p3 = -p2, -p3
     if _half_turns(p2) % 2:
         p3 = -p3
-    return Angles3(p1, p2, p3), best[0]
+    return Angles3(p1, p2, p3), best_res
 
 
 def _half_turns(phi):
@@ -511,21 +572,39 @@ def _double_root_lambdas(lambdas):
     return 0.5 * (l2 + l3), l1
 
 
-def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
-    """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries."""
-    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d.tolist()
+def _reconstruct6(d, lambdas):
+    """The entries (11, 22, 33, 12, 13, 23) of D . diag(lambdas) . D^T,
+    from the rows of D."""
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d
     l1, l2, l3 = lambdas
     e11, e12, e13 = d11 * l1, d12 * l2, d13 * l3
     e21, e22, e23 = d21 * l1, d22 * l2, d23 * l3
     e31, e32, e33 = d31 * l1, d32 * l2, d33 * l3
-    r11 = e11 * d11 + e12 * d12 + e13 * d13 - a.a11
-    r22 = e21 * d21 + e22 * d22 + e23 * d23 - a.a22
-    r33 = e31 * d31 + e32 * d32 + e33 * d33 - a.a33
-    r12 = e11 * d21 + e12 * d22 + e13 * d23 - a.a12
-    r13 = e11 * d31 + e12 * d32 + e13 * d33 - a.a13
-    r23 = e21 * d31 + e22 * d32 + e23 * d33 - a.a23
-    return math.sqrt(r11 * r11 + r22 * r22 + r33 * r33
-                     + 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)) / scale
+    return (e11 * d11 + e12 * d12 + e13 * d13,
+            e21 * d21 + e22 * d22 + e23 * d23,
+            e31 * d31 + e32 * d32 + e33 * d33,
+            e11 * d21 + e12 * d22 + e13 * d23,
+            e11 * d31 + e12 * d32 + e13 * d33,
+            e21 * d31 + e22 * d32 + e23 * d33)
+
+
+def _residual6(rec, a: SymMat3):
+    """rec - A over the six unique entries."""
+    return (rec[0] - a.a11, rec[1] - a.a22, rec[2] - a.a33,
+            rec[3] - a.a12, rec[4] - a.a13, rec[5] - a.a23)
+
+
+def _dot6(x, y):
+    """Frobenius inner product of two symmetric matrices given by their
+    six unique entries (11, 22, 33, 12, 13, 23)."""
+    return (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+            + 2.0 * (x[3] * y[3] + x[4] * y[4] + x[5] * y[5]))
+
+
+def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
+    """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries."""
+    r = _residual6(_reconstruct6(d.tolist(), lambdas), a)
+    return math.sqrt(_dot6(r, r)) / scale
 
 
 def diagonalize3(a: SymMat3) -> EigenDecomp3:
@@ -570,8 +649,7 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     d = compose_rotation(angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)
     if recon_res > 1e-12:
-        polished, abs_res = _polish_angles(a.to_array(), lambdas, angles,
-                                           scale)
+        polished, abs_res = _polish_angles(a, lambdas, angles, scale)
         if abs_res / scale < recon_res:
             angles = polished
             d = compose_rotation(angles)

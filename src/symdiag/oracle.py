@@ -16,6 +16,9 @@ from .core import SymMat2, SymMat3
 from .eig3 import CubicCoeffs
 
 MAX_SWEEPS = 100
+# Beyond this largest |entry| the squared Frobenius norm in the stopping
+# threshold overflows; such matrices are scaled by an exact power of two.
+JACOBI_PRESCALE_ABOVE = 2.0**500
 # |poly| at a critical point below this (times scale^3) marks a double root
 DOUBLE_ROOT_POLY_EPS = 1e-11
 
@@ -46,7 +49,11 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
     """Cyclic-by-row Jacobi rotations until the off-diagonal mass is gone.
 
     Accepts SymMat2, SymMat3 or a plain symmetric ndarray.  Stops when the
-    squared off-diagonal sum drops to tol^2 * max(1, ||A||_F^2).
+    squared off-diagonal sum drops to tol^2 * max(1, ||A||_F^2).  A matrix
+    whose largest |entry| exceeds JACOBI_PRESCALE_ABOVE is first scaled by
+    2^-e, with e from frexp of that entry, so that ||A||_F^2 stays finite;
+    the eigenvalues and the final off-diagonal norm are scaled back by 2^e,
+    both exactly.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -54,6 +61,11 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
         m = a.to_array()
     else:
         m = np.array(a, dtype=float)
+    exp = 0
+    biggest = float(np.max(np.abs(m), initial=0.0))
+    if biggest > JACOBI_PRESCALE_ABOVE:
+        exp = math.frexp(biggest)[1]
+        m = np.ldexp(m, -exp)
     n = m.shape[0]
     v = np.eye(n)
     thresh = tol * tol * max(1.0, float(np.sum(m * m)))
@@ -80,8 +92,10 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
                 m = j.T @ m @ j
                 v = v @ j
         sweeps += 1
-    return JacobiResult(eigenvalues=np.diag(m).copy(), eigenvectors=v,
-                        sweeps=sweeps, offdiag_final=math.sqrt(_offdiag_sq(m)))
+    return JacobiResult(eigenvalues=np.ldexp(np.diag(m), exp),
+                        eigenvectors=v, sweeps=sweeps,
+                        offdiag_final=math.ldexp(math.sqrt(_offdiag_sq(m)),
+                                                 exp))
 
 
 def cubic_roots_reference(coeffs: CubicCoeffs):

@@ -59,6 +59,34 @@ class TestJacobi:
             off = v.T @ m.to_array() @ v - np.diag(res.eigenvalues)
             assert np.linalg.norm(off) < 1e-12
 
+    def test_huge_entries_are_prescaled(self):
+        # ||A||_F^2 overflows here: without the power-of-two prescale the
+        # threshold is inf and the unrotated diagonal comes back
+        m = SymMat3(1.787e192, -1.682e193, 1.277e193, 2.309e192, -7.021e192,
+                    -1.919e193)
+        res = jacobi_eigen(m)
+        ref = np.linalg.eigvalsh(m.to_array())
+        assert res.sweeps > 0
+        assert (np.max(np.abs(np.sort(res.eigenvalues) - ref))
+                <= 1e-12 * np.max(np.abs(ref)))
+        v = res.eigenvectors
+        assert np.linalg.norm(v.T @ v - np.eye(3)) < 1e-12
+
+    def test_prescale_is_exact(self):
+        # with its largest |entry| in [0.5, 1), m is exactly what its
+        # 2^600 multiple is prescaled to, so the two runs agree bit for bit
+        # after the exact scale back
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            row = rng.uniform(-1.0, 1.0, 6)
+            m = SymMat3(*(0.75 * row / np.max(np.abs(row))))
+            small = jacobi_eigen(m)
+            big = jacobi_eigen(np.ldexp(m.to_array(), 600))
+            assert big.sweeps == small.sweeps
+            assert (big.eigenvalues.tobytes()
+                    == np.ldexp(small.eigenvalues, 600).tobytes())
+            assert big.eigenvectors.tobytes() == small.eigenvectors.tobytes()
+
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             jacobi_eigen(SymMat2(1.0, 2.0, 0.5), tol=0.0)

@@ -1,9 +1,10 @@
 """The 3x3 solver on plain Python floats.
 
 SymMat3 stores its components as Python floats, compose_rotation writes
-rot3x . rot3y out by hand, and diagonalize3 computes its residual from the
-six unique entries.  These tests pin that each of those gives the same
-numbers as the numpy forms it replaces, and that the self-reported
+rot3x . rot3y out by hand, diagonalize3 computes its residual from the
+six unique entries, and the Gauss-Newton polish runs on floats.  These
+tests pin that each of those gives the same numbers as the numpy forms it
+replaces (the polish: within rounding), and that the self-reported
 residual describes the d actually returned.
 """
 
@@ -24,7 +25,13 @@ from symdiag import (
     rot3y,
     rot3z,
 )
-from symdiag.eig3 import _polish_angles
+import symdiag.eig3
+from symdiag.eig3 import (
+    _jacobian6,
+    _polish_angles,
+    _rotation_rows,
+    _solve_spd3,
+)
 
 N_ROWS = 10_000
 # A gap-1e-6 matrix whose Gauss-Newton polish steps phi1 across +-pi/2.
@@ -37,12 +44,11 @@ def uniform_rows(n, seed):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 6))
 
 
-def clustered_rows(n, seed):
+def clustered_rows(n, seed, gaps=(0.0, 1e-9, 1e-6, 1e-3)):
     """Q . diag(lam, lam + g, lam + 2) . Q^T as criterion 4 builds them, with
     g over an exact double root and the near-boundary gaps."""
     rng = np.random.default_rng(seed)
     rows = np.empty((n, 6))
-    gaps = (0.0, 1e-9, 1e-6, 1e-3)
     for i in range(n):
         lam = rng.uniform(-3.0, 3.0)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -119,7 +125,120 @@ def test_polish_across_the_range_boundary_keeps_the_rotation():
                         ((0.3, h + eps, 0.6), (0.3, h - eps, 0.6))):
         d0 = compose_rotation(true)
         a_arr = (d0 * np.array(lambdas)) @ d0.T
-        angles, res = _polish_angles(a_arr, lambdas, Angles3(*start), 4.0)
+        angles, res = _polish_angles(SymMat3.from_array(a_arr), lambdas,
+                                     Angles3(*start), 4.0)
         d = compose_rotation(angles)
         assert res <= 1e-12
         assert np.linalg.norm((d * np.array(lambdas)) @ d.T - a_arr) <= 1e-12
+
+
+# Rotation generators (skew matrices) about the fixed basis axes.
+GEN1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+GEN2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+GEN3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def numpy_generators(phi1, phi2):
+    """The rotated generators skew(omega_k) as matrix products."""
+    r1 = rot3x(phi1)
+    r12 = r1 @ rot3y(phi2)
+    return GEN1, r1 @ GEN2 @ r1.T, r12 @ GEN3 @ r12.T
+
+
+def numpy_polish(a_arr, lambdas, angles, scale):
+    """The Gauss-Newton polish as it was written on numpy 3x3 arrays:
+    nine-entry Jacobian columns, np.linalg.solve and np.linalg.norm."""
+    lam = np.asarray(lambdas, dtype=float)
+    phis = np.array(angles.as_tuple())
+    d = compose_rotation(tuple(phis))
+    rec = (d * lam) @ d.T
+    best = float(np.linalg.norm(rec - a_arr))
+    damp = (1e-14 * scale * scale) * np.eye(3)
+    for _ in range(2):
+        j = np.column_stack([(g @ rec - rec @ g).reshape(9)
+                             for g in numpy_generators(phis[0], phis[1])])
+        resid = (rec - a_arr).reshape(9)
+        phis = phis - np.linalg.solve(j.T @ j + damp, j.T @ resid)
+        d = compose_rotation(tuple(phis))
+        rec = (d * lam) @ d.T
+        best = min(best, float(np.linalg.norm(rec - a_arr)))
+    return best
+
+
+def test_rotation_rows_match_compose_rotation():
+    rng = np.random.default_rng(205)
+    for p in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist():
+        rows = np.array(_rotation_rows(*p))
+        assert np.max(np.abs(rows - compose_rotation(p))) <= 4e-16
+
+
+def test_jacobian_columns_match_numpy_commutators():
+    rng = np.random.default_rng(206)
+    for _ in range(2000):
+        p = rng.uniform(-math.pi, math.pi, 3).tolist()
+        lam = rng.uniform(-3.0, 3.0, 3)
+        d = compose_rotation(p)
+        rec = (d * lam) @ d.T
+        rec = 0.5 * (rec + rec.T)
+        scale = max(1.0, float(np.linalg.norm(rec)))
+        cols = _jacobian6(p[0], p[1], [rec[ij] for ij in UNIQUE])
+        for col, g in zip(cols, numpy_generators(p[0], p[1])):
+            ref = g @ rec - rec @ g
+            assert max(abs(c - ref[ij]) for c, ij in zip(col, UNIQUE)) \
+                <= 1e-14 * scale**2
+
+
+def test_spd_solve():
+    rng = np.random.default_rng(208)
+    for _ in range(2000):
+        j = rng.standard_normal((6, 3))
+        m = j.T @ j + 1e-3 * np.eye(3)
+        b = rng.standard_normal(3)
+        x = _solve_spd3(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2],
+                        m[2, 2], *b)
+        np.testing.assert_allclose(x, np.linalg.solve(m, b),
+                                   rtol=1e-9, atol=1e-9)
+    # a pivot that is not positive, or a step that is not finite, ends the
+    # polish instead of raising
+    assert _solve_spd3(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0) is None
+    assert _solve_spd3(1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0) is None
+    assert _solve_spd3(1.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0, 1.0, 1.0) is None
+    assert _solve_spd3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0,
+                       math.inf, 1.0, 1.0) is None
+    assert _solve_spd3(math.nan, 0.0, 0.0, 1.0, 0.0, 1.0,
+                       1.0, 1.0, 1.0) is None
+
+
+def recorded_polish_calls(monkeypatch, rows):
+    """The arguments of every polish diagonalize3 makes on ``rows``."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _polish_angles(*args)
+
+    monkeypatch.setattr(symdiag.eig3, "_polish_angles", spy)
+    for row in rows:
+        diagonalize3(SymMat3(*row))
+    monkeypatch.undo()
+    return calls
+
+
+def test_float_polish_no_worse_than_numpy_polish(monkeypatch):
+    calls = recorded_polish_calls(
+        monkeypatch, clustered_rows(12_000, 209, gaps=(0.0, 1e-9)))
+    assert len(calls) >= 5000
+    for a, lambdas, angles, scale in calls:
+        _, res = _polish_angles(a, lambdas, angles, scale)
+        ref = numpy_polish(a.to_array(), lambdas, angles, scale)
+        assert res <= 1.05 * ref + 1e-15 * scale
+
+
+def test_near_double_within_criterion_4c_bounds():
+    for row in clustered_rows(N_ROWS, 210, gaps=(1e-6, 1e-3)):
+        a = SymMat3(*row)
+        dec = diagonalize3(a)
+        assert dec.report.recon_residual <= 1e-6
+        err = np.sort(dec.lambdas) - np.linalg.eigvalsh(a.to_array())
+        assert np.max(np.abs(err)) <= 1e-6

@@ -28,7 +28,6 @@ from .core import (
 )
 from .eig2 import diagonalize2, eigenvalues2, rotation_angle2
 from .eig3 import (
-    BothFVectorsZero,
     CubicCoeffs,
     DegenerateEigenvalues,
     NotDoubleRoot,
@@ -44,7 +43,6 @@ from .eig3 import (
     f_vectors,
     g_vectors,
     pq_expanded,
-    resolve_signs,
 )
 from .oracle import (
     ComplexRootsDetected,
@@ -62,10 +60,10 @@ __all__ = [
     "compose_rotation", "rot2", "rot3x", "rot3y", "rot3z", "wrap_half_pi",
     "wrap_pi", "wrapped_diff_mod_pi",
     "diagonalize2", "eigenvalues2", "rotation_angle2",
-    "BothFVectorsZero", "CubicCoeffs", "DegenerateEigenvalues",
-    "NotDoubleRoot", "PQ", "char_coeffs", "compute_pq", "compute_v",
-    "compute_w", "degenerate_double", "diagonalize3", "eigenvalues3",
-    "euler_angles", "f_vectors", "g_vectors", "pq_expanded", "resolve_signs",
+    "CubicCoeffs", "DegenerateEigenvalues", "NotDoubleRoot", "PQ",
+    "char_coeffs", "compute_pq", "compute_v", "compute_w",
+    "degenerate_double", "diagonalize3", "eigenvalues3", "euler_angles",
+    "f_vectors", "g_vectors", "pq_expanded",
     "ComplexRootsDetected", "JacobiResult", "NoConvergence",
     "cubic_roots_reference", "jacobi_eigen", "reconstruct", "residuals",
 ]

@@ -56,7 +56,9 @@ def parse_record(line):
     """One MatrixRecord from a JSON line; raises ParseError on anything bad."""
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and integers past the digit
+        # limit of int(str); RecursionError covers too deep nesting
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ParseError("record must be a JSON object")
@@ -76,7 +78,10 @@ def parse_record(line):
         v = data[k]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"{k} must be a number")
-        comps.append(float(v))
+        try:
+            comps.append(float(v))
+        except OverflowError as e:  # an integer beyond the double range
+            raise ParseError(f"{k} is outside the float range") from e
     try:
         mat = SymMat2(*comps) if dim == 2 else SymMat3(*comps)
     except NonFiniteInput as e:

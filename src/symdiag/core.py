@@ -163,9 +163,11 @@ class SolveReport:
 
     phi1_candidates holds one entry per examined sign combination:
     (sign2, sign3, phi1 from the f1/g1 route, phi1 from the f2/g2 route,
-    wrapped difference mod pi).  Entries are NaN where the corresponding
-    f-vector was below tolerance.  near_tie flags a selection where a
-    second, non-tied combination came within 1e-6 of the winner.
+    wrapped difference mod pi).  The Generic and AlreadyDiagonal2D branches
+    examine (1, 1) and (1, -1), the two distinct rotations; DoubleRoot has
+    one entry, (1, 1); TripleRoot none.  Entries are NaN where the
+    corresponding route was unavailable.  near_tie flags a selection where
+    the other, non-tied combination came within 1e-6 of the winner.
     """
 
     selected_signs: tuple = (1, 1)

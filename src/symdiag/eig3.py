@@ -4,11 +4,11 @@ Eigenvalues come from the trigonometric solution of the characteristic
 cubic; the orthogonal factor D is recovered as three rotation angles
 (phi1, phi2, phi3) about the fixed basis axes.  The squared cosines of
 phi2 and phi3 are rational in the matrix entries and eigenvalues, which
-leaves four sign combinations; consistency of two independent estimates of
-phi1 (one from each of two 2-vector identities) selects the combination.
-One selection routine scores the candidates: the generic branch hands it
-all four combinations, the double-root branch (phi3 = 0) the two signs of
-phi2.
+leaves their signs.  D is invariant under (phi1 + pi, -phi2, -phi3), so
+only (+,+) and (+,-) are distinct rotations; the generic branch picks the
+one whose two independent estimates of phi1 (one from each of two 2-vector
+identities) agree.  The double-root branch (phi3 = 0) has one rotation
+left and scores nothing.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -284,36 +284,34 @@ def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3):
     return p11, p12
 
 
-def _select_signs(combos, n1, n2, tol_f, cs1, cs2, g):
-    """Pick the (s2, s3) sign combination whose two phi1 estimates agree.
+def _select_signs(n1, n2, tol_f, cs1, cs2, g):
+    """Pick (+,+) or (+,-), the two distinct rotations, by phi1 agreement.
 
-    With both f-vectors above tolerance, the combination minimizing the
-    wrapped mod-pi difference between the two estimates wins; the first in
-    ``combos`` order within TIE_EPS of the minimum is taken, and near_tie
-    flags a non-tied runner-up (more than TIE_EPS above the minimum) within
-    NEAR_TIE_EPS of the winner.  With a single usable route any
-    combination is valid and the first is used.  Returns the selected
-    (s2, s3, p11, p12, diff), every candidate and near_tie.
+    With both routes available, the smaller wrapped mod-pi difference
+    between the two phi1 estimates wins and a tie within TIE_EPS goes to
+    (+,+); near_tie flags a loser more than TIE_EPS and at most
+    NEAR_TIE_EPS behind.  With a single route (+,+) is used.  Returns the
+    selected (s2, s3, p11, p12, diff), both candidates and near_tie.
     """
-    both = n1 > tol_f and n2 > tol_f
     candidates = []
-    for s2, s3 in combos:
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
-        diff = wrapped_diff_mod_pi(p11, p12) if both else math.nan
-        candidates.append((s2, s3, p11, p12, diff))
-    candidates = tuple(candidates)
-    scored = [c for c in candidates if not math.isnan(c[4])]
-    if not scored:
-        return candidates[0], candidates, False
-    best = min(c[4] for c in scored)
-    sel = next(c for c in scored if c[4] <= best + TIE_EPS)
-    # The winner's (-s2, -s3) twin is the same rotation and always ties.
-    others = [c[4] for c in scored if c[4] > best + TIE_EPS]
-    near_tie = bool(others) and min(others) - sel[4] <= NEAR_TIE_EPS
-    return sel, candidates, near_tie
+    for s3 in (1, -1):
+        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, s3)
+        candidates.append((1, s3, p11, p12, wrapped_diff_mod_pi(p11, p12)))
+    first, second = candidates = tuple(candidates)
+    d1, d2 = first[4], second[4]
+    # a NaN difference (one route only) compares false: (+,+), no near-tie
+    if d1 > d2 + TIE_EPS:
+        return second, candidates, d1 - d2 <= NEAR_TIE_EPS
+    return first, candidates, d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
 
 
-def _assemble_angles(n1, n2, tol_f, p11, p12, s2, s3, phi2_mag, phi3_mag):
+def _phi1_route(n1, n2, p11, p12):
+    """phi1 from the f1/g1 route, unless it is NaN or the f2/g2 route is
+    available with the longer f-vector; NaN when neither route is."""
+    return p12 if math.isnan(p11) or (n2 > n1 and not math.isnan(p12)) else p11
+
+
+def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     """Final triple with a consistent phi1 representative.
 
     The decomposition is invariant under (phi1 + pi, -phi2, -phi3), so when
@@ -323,12 +321,9 @@ def _assemble_angles(n1, n2, tol_f, p11, p12, s2, s3, phi2_mag, phi3_mag):
     determines phi1 mod pi (its representative already lies in range, and
     with f1 = 0 the sign choice is immaterial).
     """
-    if math.isnan(p11):
-        phi1 = 0.0 if math.isnan(p12) else p12
-    elif math.isnan(p12):
-        phi1 = p11
-    else:
-        phi1 = p11 if n1 >= n2 else p12
+    phi1 = _phi1_route(n1, n2, p11, p12)
+    if math.isnan(phi1):
+        phi1 = 0.0
     if not math.isnan(p11) and (p11 > 0.5 * math.pi or p11 <= -0.5 * math.pi):
         s2, s3 = -s2, -s3
     return Angles3(phi1=phi1, phi2=s2 * phi2_mag, phi3=s3 * phi3_mag), (s2, s3)
@@ -337,10 +332,11 @@ def _assemble_angles(n1, n2, tol_f, p11, p12, s2, s3, phi2_mag, phi3_mag):
 def resolve_signs(a: SymMat3, lambdas, v, w):
     """Select the signs of phi2 and phi3 and recover phi1.
 
-    Scores the four combinations (+-arccos sqrt(v), +-arccos sqrt(w)) with
-    the shared selection routine, preferring them in the order (+,+),
-    (+,-), (-,+), (-,-).  Both f-vectors zero means the matrix is diagonal
-    with a repeated entry and must go to the double-root branch.
+    Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
+    scored: D is invariant under (phi1 + pi, -phi2, -phi3), and
+    _assemble_angles flips to that twin when phi1 leaves (-pi/2, pi/2].
+    Both f-vectors zero means the matrix is diagonal with a repeated entry
+    and must go to the double-root branch.
     """
     (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = _f_route(a, a.scale())
     if n1 <= tol_f and n2 <= tol_f:
@@ -352,7 +348,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
     gap12, gap23 = l1 - l2, l2 - l3
     g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
     (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
-        ((1, 1), (1, -1), (-1, 1), (-1, -1)), n1, n2, tol_f, cs1, cs2, g)
+        n1, n2, tol_f, cs1, cs2, g)
 
     # Near 0 or pi/2 the arccos(sqrt(.)) magnitudes square-root-amplify
     # rounding in v and w.  The rotated identities R(phi1) f1 = (g1x, g1y)
@@ -363,8 +359,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
     # alternating phi1 re-estimation and magnitude refinement contract.
     if n1 > tol_f:
         for _ in range(2):
-            phi1_est = p12 if (math.isnan(p11) or (n2 > n1
-                               and not math.isnan(p12))) else p11
+            phi1_est = _phi1_route(n1, n2, p11, p12)
             if math.isnan(phi1_est):
                 break
             c1, s1 = math.cos(phi1_est), math.sin(phi1_est)
@@ -400,7 +395,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
             g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
             p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
 
-    angles, signs = _assemble_angles(n1, n2, tol_f, p11, p12,
+    angles, signs = _assemble_angles(n1, n2, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
     report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
                          f1_norm=n1, f2_norm=n2, near_tie=near_tie)
@@ -410,9 +405,11 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
 def degenerate_double(a: SymMat3, lam, lam3):
     """Angles for the double-root case lambda1 = lambda2 = lam.
 
-    Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3), phi3 = 0, and only the two
-    sign choices of phi2 remain; phi1 comes from the shared selection
-    routine with the g-vectors in their simplified double-root form.
+    Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
+    invariant under (phi1 + pi, -phi2, -phi3), so both signs of phi2 give
+    one rotation: nothing is scored and phi2 is taken >= 0 (before the phi1
+    range flip).  phi1 comes from the f/g routes with the g-vectors in
+    their simplified double-root form.
     """
     scale = a.scale()
     if abs(lam - lam3) <= DEGENERATE_EPS * scale:
@@ -437,14 +434,13 @@ def degenerate_double(a: SymMat3, lam, lam3):
     # with phi3 = 0, g1x and g2y vanish
     g = (0.0, 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag),
          (lam - lam3) * s, 0.0)
-    (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
-        ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
+    p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, 1)
     # an already diagonal matrix has no usable route and gets phi1 = 0: any
     # phi1 rotates within the repeated eigenspace
-    angles, signs = _assemble_angles(n1, n2, tol_f, p11, p12,
-                                     s2, s3, phi2_mag, 0.0)
-    report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
-                         f1_norm=n1, f2_norm=n2, near_tie=near_tie)
+    angles, signs = _assemble_angles(n1, n2, p11, p12, 1, 1, phi2_mag, 0.0)
+    candidate = (1, 1, p11, p12, wrapped_diff_mod_pi(p11, p12))
+    report = SolveReport(selected_signs=signs, phi1_candidates=(candidate,),
+                         f1_norm=n1, f2_norm=n2)
     return angles, report
 
 

@@ -36,6 +36,14 @@ HUGE_RECORD = json.dumps({"id": "huge", "a11": 1e200, "a22": 2e200,
 NORMAL_RECORD = json.dumps({"id": "normal", "a11": 2.0, "a22": 1.0,
                             "a33": 0.5, "a12": 0.3, "a13": -0.2,
                             "a23": 0.1})
+# Finite JSON integers no double holds: float() overflows on 400 digits and
+# json.loads refuses 5000 (past the 4300-digit limit of int(str)).
+LONG_INT_DIGITS = (400, 5000)
+
+
+def long_int_record(digits):
+    return ('{"id": "long", "a11": %s, "a22": 1, "a33": 1,'
+            ' "a12": 0, "a13": 0, "a23": 0}' % ("9" * digits))
 
 
 class TestParseRecord:
@@ -77,6 +85,10 @@ class TestParseRecord:
     def test_non_object(self):
         with pytest.raises(ParseError):
             parse_record("[1, 2, 3]")
+
+    def test_too_deep_nesting(self):
+        with pytest.raises(ParseError):
+            parse_record("[" * 100_000 + "]" * 100_000)
 
 
 def recursive_dumps(obj):
@@ -184,6 +196,15 @@ class TestCmdSolve:
         assert lines[0]["id"] == "huge" and "error" in lines[0]
         assert lines[1]["id"] == "normal" and lines[1]["branch"] == "Generic"
 
+    @pytest.mark.parametrize("digits", LONG_INT_DIGITS)
+    def test_long_integer_inline_error_and_stream_continues(self, digits):
+        rc, out = self.run(long_int_record(digits) + "\n"
+                           + NORMAL_RECORD + "\n")
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert rc == 0 and len(lines) == 2
+        assert lines[0]["id"] is None and "error" in lines[0]
+        assert lines[1]["id"] == "normal" and lines[1]["branch"] == "Generic"
+
 
 class TestCmdVerify:
     def corpus(self, n, seed):
@@ -235,6 +256,17 @@ class TestCmdVerify:
         assert rc == 1
         assert summary["records"] == 3
         assert summary["pass"] == 2 and summary["fail"] == 1
+        assert summary["parse_errors"] == 1 and summary["solver_errors"] == 0
+
+    @pytest.mark.parametrize("digits", LONG_INT_DIGITS)
+    def test_long_integer_counts_as_parse_error(self, digits):
+        out = io.StringIO()
+        rc = cmd_verify(io.StringIO(long_int_record(digits) + "\n"
+                                    + NORMAL_RECORD + "\n"), out, tol=1e-9)
+        summary = json.loads(out.getvalue())
+        assert rc == 1
+        assert summary["records"] == 2
+        assert summary["pass"] == 1 and summary["fail"] == 1
         assert summary["parse_errors"] == 1 and summary["solver_errors"] == 0
 
     def test_corrupt_hook_reports_failures(self):

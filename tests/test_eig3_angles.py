@@ -26,8 +26,10 @@ from symdiag import (
     rot3z,
     wrapped_diff_mod_pi,
 )
+from symdiag import SolveReport, eig3
 from symdiag.eig3 import NEAR_TIE_EPS, TIE_EPS, _select_signs
-from conftest import conjugated, random_sym3, sym3
+from conftest import (clustered_sym3, conjugated, random_sym3, structured_sym3,
+                      sym3)
 
 DIAG321 = SymMat3(3.0, 2.0, 1.0, 0.0, 0.0, 0.0)
 
@@ -134,30 +136,33 @@ class TestGVectorSigns:
 
 
 class TestSelectSigns:
-    # psi1 = 0.3, psi2 = 0.  g1 = (1, t) puts phi1 at atan(t) - 0.3 for
-    # (+, +) and at pi - atan(t) - 0.3 for (+, -); g2 = (1, 0) puts it at 0
-    # for both.  (+, +) therefore beats (+, -) by 2 atan(t).
+    # psi1 = 0.3, psi2 = 0.  g1 = (x, t) with x = +-1 puts phi1 at
+    # atan(t) - 0.3 for (+, x) and at pi - atan(t) - 0.3 for (+, -x); g2 =
+    # (1, 0) puts it at 0 for both.  (+, x) therefore beats (+, -x) by
+    # 2 atan(t).
     CS1 = (math.cos(0.3), math.sin(0.3))
     CS2 = (1.0, 0.0)
 
-    def select(self, combos, margin, n2=1.0):
-        g = (1.0, math.tan(0.5 * margin), 1.0, 0.0)
-        return _select_signs(combos, 1.0, n2, 1e-14, self.CS1, self.CS2, g)
+    def select(self, margin, winner_s3=1, n2=1.0):
+        g = (float(winner_s3), math.tan(0.5 * margin), 1.0, 0.0)
+        return _select_signs(1.0, n2, 1e-14, self.CS1, self.CS2, g)
 
-    def test_better_combo_wins_in_any_order(self):
-        sel, candidates, _ = self.select(((1, 1), (1, -1)), 1e-3)
-        assert [c[:2] for c in candidates] == [(1, 1), (1, -1)]
-        assert candidates[0][4] == pytest.approx(0.3 - 0.5e-3, abs=1e-15)
-        assert candidates[1][4] == pytest.approx(0.3 + 0.5e-3, abs=1e-15)
-        assert sel is candidates[0]
-        sel, candidates, _ = self.select(((1, -1), (1, 1)), 1e-3)
-        assert sel is candidates[1] and sel[:2] == (1, 1)
+    def test_better_combo_wins_either_way(self):
+        for winner_s3 in (1, -1):
+            sel, candidates, _ = self.select(1e-3, winner_s3)
+            assert [c[:2] for c in candidates] == [(1, 1), (1, -1)]
+            assert candidates[0][4] == pytest.approx(
+                0.3 - winner_s3 * 0.5e-3, abs=1e-15)
+            assert candidates[1][4] == pytest.approx(
+                0.3 + winner_s3 * 0.5e-3, abs=1e-15)
+            assert sel is candidates[0 if winner_s3 == 1 else 1]
+            assert sel[:2] == (1, winner_s3)
 
     def test_tie_goes_to_the_first_combo(self):
         for margin in (0.0, 0.05 * TIE_EPS):
-            for combos in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
-                sel, _, near_tie = self.select(combos, margin)
-                assert sel[:2] == combos[0]
+            for winner_s3 in (1, -1):
+                sel, _, near_tie = self.select(margin, winner_s3)
+                assert sel[:2] == (1, 1)
                 assert not near_tie
 
     def test_near_tie_only_inside_the_window(self):
@@ -165,9 +170,9 @@ class TestSelectSigns:
                                (20.0 * TIE_EPS, True),
                                (0.5 * NEAR_TIE_EPS, True),
                                (2.0 * NEAR_TIE_EPS, False), (1e-3, False)):
-            for combos in (((1, 1), (1, -1)), ((1, -1), (1, 1))):
-                _, _, near_tie = self.select(combos, margin)
-                assert near_tie is expect, (margin, combos)
+            for winner_s3 in (1, -1):
+                _, _, near_tie = self.select(margin, winner_s3)
+                assert near_tie is expect, (margin, winner_s3)
 
     def test_winner_twin_is_not_a_near_tie(self):
         # (-s2, -s3) with phi1 + pi is the winner's rotation, so its mod-pi
@@ -178,12 +183,94 @@ class TestSelectSigns:
             assert dec.report.near_tie is expect, phi3
 
     def test_single_route_falls_back_to_the_first_combo(self):
-        combos = ((-1, 1), (1, 1), (1, -1), (-1, -1))
-        sel, candidates, near_tie = self.select(combos, 1e-3, n2=0.0)
-        assert sel is candidates[0] and sel[:2] == (-1, 1)
-        assert all(math.isnan(c[4]) and math.isnan(c[3])
-                   for c in candidates)
-        assert not near_tie
+        for winner_s3 in (1, -1):
+            sel, candidates, near_tie = self.select(1e-3, winner_s3, n2=0.0)
+            assert sel is candidates[0] and sel[:2] == (1, 1)
+            assert len(candidates) == 2
+            assert all(math.isnan(c[4]) and math.isnan(c[3])
+                       for c in candidates)
+            assert not near_tie
+
+
+def _four_combo_select(combos, n1, n2, tol_f, cs1, cs2, g):
+    """The selection that scored every sign combination in ``combos``,
+    twins included: first within TIE_EPS of the best wins, and near_tie
+    flags a non-tied runner-up within NEAR_TIE_EPS of the winner."""
+    both = n1 > tol_f and n2 > tol_f
+    candidates = []
+    for s2, s3 in combos:
+        p11, p12 = eig3._phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
+        diff = wrapped_diff_mod_pi(p11, p12) if both else math.nan
+        candidates.append((s2, s3, p11, p12, diff))
+    candidates = tuple(candidates)
+    scored = [c for c in candidates if not math.isnan(c[4])]
+    if not scored:
+        return candidates[0], candidates, False
+    best = min(c[4] for c in scored)
+    sel = next(c for c in scored if c[4] <= best + TIE_EPS)
+    others = [c[4] for c in scored if c[4] > best + TIE_EPS]
+    near_tie = bool(others) and min(others) - sel[4] <= NEAR_TIE_EPS
+    return sel, candidates, near_tie
+
+
+def _scored_double(a, lam, lam3):
+    """degenerate_double scoring both signs of phi2 with the selection above."""
+    scale = a.scale()
+    if abs(lam - lam3) <= eig3.DEGENERATE_EPS * scale:
+        raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
+    s = eig3._clamp_unit((a.a11 - lam3) / (lam - lam3), "s", slack=1e-5)
+    phi2_mag = math.acos(math.sqrt(s))
+    _, _, n1, n2, tol_f, cs1, cs2 = eig3._f_route(a, scale)
+    if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
+        sin2 = min(2.0 * n1 / abs(lam - lam3), 1.0)
+        half = 0.5 * math.asin(sin2)
+        phi2_mag = half if phi2_mag <= 0.25 * math.pi else 0.5 * math.pi - half
+        s = math.cos(phi2_mag) ** 2
+    g = (0.0, 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag),
+         (lam - lam3) * s, 0.0)
+    (s2, s3, p11, p12, _), candidates, near_tie = _four_combo_select(
+        ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
+    angles, signs = eig3._assemble_angles(n1, n2, p11, p12,
+                                          s2, s3, phi2_mag, 0.0)
+    return angles, SolveReport(selected_signs=signs,
+                               phi1_candidates=candidates, f1_norm=n1,
+                               f2_norm=n2, near_tie=near_tie)
+
+
+class TestTwinScoringPin:
+    """Scoring only (+,+) and (+,-), and nothing on the double-root branch,
+    gives bitwise the results of scoring all four sign combinations (two on
+    the double-root branch): the twins only ever tie."""
+
+    @staticmethod
+    def corpus():
+        rng = np.random.default_rng(60)
+        mats = [random_sym3(rng) for _ in range(2000)]
+        for gap in (0.0, 1e-9, 1e-6, 1e-3):
+            mats += [clustered_sym3(rng, gap) for _ in range(1000)]
+        mats += [structured_sym3(rng) for _ in range(2000)]
+        return mats
+
+    def test_matches_scoring_every_combination(self, monkeypatch):
+        mats = self.corpus()
+        got = [diagonalize3(a) for a in mats]
+        monkeypatch.setattr(
+            eig3, "_select_signs",
+            lambda *args: _four_combo_select(
+                ((1, 1), (1, -1), (-1, 1), (-1, -1)), *args))
+        monkeypatch.setattr(eig3, "degenerate_double", _scored_double)
+        seen = {"near_tie": 0, "second": 0, "double": 0}
+        for a, dec in zip(mats, got):
+            ref = diagonalize3(a)
+            assert same_bits(dec.angles.as_tuple(), ref.angles.as_tuple()), a
+            assert dec.d.tobytes() == ref.d.tobytes(), a
+            assert dec.report.selected_signs == ref.report.selected_signs, a
+            assert dec.report.near_tie is ref.report.near_tie, a
+            seen["near_tie"] += ref.report.near_tie
+            seen["second"] += ref.report.selected_signs in ((1, -1), (-1, 1))
+            seen["double"] += ref.branch is Branch.DOUBLE_ROOT
+        # the corpus reaches near-ties, (+,-) winners and double roots
+        assert min(seen.values()) >= 20, seen
 
 
 class TestDoubleRootFlag:

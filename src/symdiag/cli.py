@@ -15,6 +15,7 @@ returns for a real array.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -267,33 +268,28 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            fin = sys.stdin if args.input == "-" else open(args.input)
-            fout = sys.stdout if args.output == "-" else open(args.output, "w")
-            try:
+        # every file opened here is closed on every way out, errors included
+        with contextlib.ExitStack() as files:
+            if args.command == "solve":
+                fin = (sys.stdin if args.input == "-"
+                       else files.enter_context(open(args.input)))
+                fout = (sys.stdout if args.output == "-"
+                        else files.enter_context(open(args.output, "w")))
                 return cmd_solve(fin, fout)
-            finally:
-                if fin is not sys.stdin:
-                    fin.close()
-                if fout is not sys.stdout:
-                    fout.close()
-        if args.command == "verify":
-            if args.tol <= 0.0:
-                print("error: --tol must be positive", file=sys.stderr)
-                return 2
-            fin = sys.stdin if args.input == "-" else open(args.input)
-            try:
+            if args.command == "verify":
+                if args.tol <= 0.0:
+                    print("error: --tol must be positive", file=sys.stderr)
+                    return 2
+                fin = (sys.stdin if args.input == "-"
+                       else files.enter_context(open(args.input)))
                 return cmd_verify(fin, sys.stdout, args.tol,
                                   corrupt=args.self_test_corrupt)
-            finally:
-                if fin is not sys.stdin:
-                    fin.close()
-        if args.command == "bench":
-            if args.n < 1:
-                print("error: --n must be at least 1", file=sys.stderr)
-                return 2
-            return cmd_bench(sys.stdout, args.n, args.seed)
-        raise AssertionError(f"unknown command {args.command}")
+            if args.command == "bench":
+                if args.n < 1:
+                    print("error: --n must be at least 1", file=sys.stderr)
+                    return 2
+                return cmd_bench(sys.stdout, args.n, args.seed)
+            raise AssertionError(f"unknown command {args.command}")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,13 +1,19 @@
 """Shared value types and rotation-matrix constructors.
 
-Matrices are plain dense numpy arrays; the symmetric inputs, angle triples
-and decomposition results are small frozen dataclasses.  Everything here is
-immutable after construction and safe to share between threads.
+Matrices are plain dense numpy arrays.  The symmetric inputs (SymMat2,
+SymMat3), the angle triple (Angles3) and the solve diagnostics
+(SolveReport) are named tuples, so they unpack, index, hash and compare as
+tuples do: SymMat3(3, 2, 1, 0, 0, 0) == (3.0, 2.0, 1.0, 0.0, 0.0, 0.0),
+and two of them with equal values compare equal whatever their types.
+The decomposition results (EigenDecomp2, EigenDecomp3) hold a numpy array;
+they are __slots__ records that compare field by field, leaving it out.
+Everything here is immutable after construction and safe to share between
+threads.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,25 +26,20 @@ class AngleOfZeroVector(ValueError):
     """angle_of was called with the zero vector."""
 
 
+# the value-type constructors run on every solve; aliases save a lookup
+_isfinite = math.isfinite
+_tuple_new = tuple.__new__
+
+
 def _require_finite(name, *values):
     for v in values:
         if not math.isfinite(v):
             raise NonFiniteInput(f"{name}: non-finite component {v!r}")
 
 
-def _store_finite_floats(obj):
-    """Check every field of a matrix value type and store it as a Python float.
-
-    Rows sliced from numpy arrays arrive as numpy scalars, whose arithmetic
-    takes numpy's slow scalar path; converting once here keeps the whole
-    solver on plain floats.  The values (IEEE doubles) are unchanged.
-    """
-    fields = obj.__dict__
-    for k, v in fields.items():
-        if not math.isfinite(v):
-            raise NonFiniteInput(
-                f"{type(obj).__name__}: non-finite component {v!r}")
-        fields[k] = float(v)
+def _checked_make(cls, values):
+    """_make, and so _replace, through the checking constructor."""
+    return cls(*values)
 
 
 def wrap_pi(phi):
@@ -66,16 +67,27 @@ def wrapped_diff_mod_pi(a, b):
     return abs(math.remainder(a - b, math.pi))
 
 
-@dataclass(frozen=True)
-class SymMat2:
-    """Symmetric 2x2 matrix stored by its unique components, as Python floats."""
-
+class _SymMat2(NamedTuple):
     a11: float
     a22: float
     a12: float
 
-    def __post_init__(self):
-        _store_finite_floats(self)
+
+class SymMat2(_SymMat2):
+    """Symmetric 2x2 matrix stored by its unique components, as Python floats.
+
+    A named tuple (a11, a22, a12).  Construction raises NonFiniteInput on
+    a NaN or infinite component and converts the rest to float.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a11, a22, a12):
+        if not (_isfinite(a11) and _isfinite(a22) and _isfinite(a12)):
+            _require_finite("SymMat2", a11, a22, a12)
+        return _tuple_new(cls, (float(a11), float(a22), float(a12)))
+
+    _make = classmethod(_checked_make)
 
     def to_array(self):
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -88,14 +100,7 @@ class SymMat2:
         return max(1.0, self.fro_norm())
 
 
-@dataclass(frozen=True)
-class SymMat3:
-    """Symmetric 3x3 matrix stored by its six unique components, as Python
-    floats.
-
-    Symmetry is structural: a21 = a12 etc. by construction, never checked.
-    """
-
+class _SymMat3(NamedTuple):
     a11: float
     a22: float
     a33: float
@@ -103,16 +108,42 @@ class SymMat3:
     a13: float
     a23: float
 
-    def __post_init__(self):
-        _store_finite_floats(self)
+
+class SymMat3(_SymMat3):
+    """Symmetric 3x3 matrix stored by its six unique components, as Python
+    floats.
+
+    A named tuple (a11, a22, a33, a12, a13, a23).  Construction raises
+    NonFiniteInput on a NaN or infinite component and converts the rest to
+    float: rows sliced from numpy arrays arrive as numpy scalars, whose
+    arithmetic takes numpy's slow scalar path, so the whole solver runs on
+    plain floats with the same IEEE values.  Symmetry is structural: a21 =
+    a12 etc. by construction, never checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a11, a22, a33, a12, a13, a23):
+        if not (_isfinite(a11) and _isfinite(a22) and _isfinite(a33)
+                and _isfinite(a12) and _isfinite(a13) and _isfinite(a23)):
+            _require_finite("SymMat3", a11, a22, a33, a12, a13, a23)
+        return _tuple_new(cls, (float(a11), float(a22), float(a33),
+                                float(a12), float(a13), float(a23)))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_array(cls, m):
+        """The symmetric part of a 3x3 array; any other shape raises
+        ValueError."""
         m = np.asarray(m, dtype=float)
-        return cls(a11=m[0, 0], a22=m[1, 1], a33=m[2, 2],
-                   a12=0.5 * (m[0, 1] + m[1, 0]),
-                   a13=0.5 * (m[0, 2] + m[2, 0]),
-                   a23=0.5 * (m[1, 2] + m[2, 1]))
+        if m.shape != (3, 3):
+            raise ValueError(f"SymMat3.from_array needs a 3x3 array, "
+                             f"got shape {m.shape}")
+        return cls(m[0, 0], m[1, 1], m[2, 2],
+                   0.5 * (m[0, 1] + m[1, 0]),
+                   0.5 * (m[0, 2] + m[2, 0]),
+                   0.5 * (m[1, 2] + m[2, 1]))
 
     def to_array(self):
         return np.array([[self.a11, self.a12, self.a13],
@@ -127,27 +158,33 @@ class SymMat3:
         return max(1.0, self.fro_norm())
 
 
-@dataclass(frozen=True)
-class Angles3:
-    """Rotation angles (phi1, phi2, phi3) about the fixed basis axes e1, e2, e3.
-
-    Per the Euler-sequence identity these same values, applied in reverse
-    order about rotating axes, give the Euler angles of the eigenvectors.
-    Each angle is normalized to (-pi/2, pi/2] at construction.
-    """
-
+class _Angles3(NamedTuple):
     phi1: float
     phi2: float
     phi3: float
 
-    def __post_init__(self):
-        _require_finite("Angles3", self.phi1, self.phi2, self.phi3)
-        object.__setattr__(self, "phi1", wrap_half_pi(self.phi1))
-        object.__setattr__(self, "phi2", wrap_half_pi(self.phi2))
-        object.__setattr__(self, "phi3", wrap_half_pi(self.phi3))
+
+class Angles3(_Angles3):
+    """Rotation angles (phi1, phi2, phi3) about the fixed basis axes e1, e2, e3.
+
+    Per the Euler-sequence identity these same values, applied in reverse
+    order about rotating axes, give the Euler angles of the eigenvectors.
+    A named tuple: construction raises NonFiniteInput on a NaN or infinite
+    angle and stores each angle as wrap_half_pi of it, in (-pi/2, pi/2].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phi1, phi2, phi3):
+        if not (_isfinite(phi1) and _isfinite(phi2) and _isfinite(phi3)):
+            _require_finite("Angles3", phi1, phi2, phi3)
+        return _tuple_new(cls, (wrap_half_pi(phi1), wrap_half_pi(phi2),
+                                wrap_half_pi(phi3)))
+
+    _make = classmethod(_checked_make)
 
     def as_tuple(self):
-        return (self.phi1, self.phi2, self.phi3)
+        return tuple(self)
 
 
 class Branch(enum.Enum):
@@ -157,9 +194,8 @@ class Branch(enum.Enum):
     ALREADY_DIAGONAL_2D = "AlreadyDiagonal2D"
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Diagnostics for one 3x3 solve.
+class SolveReport(NamedTuple):
+    """Diagnostics for one 3x3 solve, as a named tuple.
 
     phi1_candidates holds one entry per examined sign combination:
     (sign2, sign3, phi1 from the f1/g1 route, phi1 from the f2/g2 route,
@@ -178,22 +214,61 @@ class SolveReport:
     near_tie: bool = False
 
 
-@dataclass(frozen=True)
-class EigenDecomp2:
+class _Decomp:
+    """Immutable __slots__ record: fields are set once, by __init__.
+
+    Equality and hashing use every field but d, the numpy factor; repr and
+    pickling use every field.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def _key(self):
+        return tuple(getattr(self, k) for k in self.__slots__ if k != "d")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            f"{k}={v!r}" for k, v in zip(self.__slots__, self._values())))
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class EigenDecomp2(_Decomp):
     """Result of diagonalizing a SymMat2: A = D . diag(l1, l2) . D^T."""
 
-    lambda1: float
-    lambda2: float
-    phi: float
-    d: np.ndarray = field(compare=False)
+    __slots__ = ("lambda1", "lambda2", "phi", "d")
+
+    def __init__(self, lambda1, lambda2, phi, d):
+        _set = object.__setattr__
+        _set(self, "lambda1", lambda1)
+        _set(self, "lambda2", lambda2)
+        _set(self, "phi", phi)
+        _set(self, "d", d)
 
     @classmethod
     def from_angle(cls, lambda1, lambda2, phi):
-        return cls(lambda1=lambda1, lambda2=lambda2, phi=phi, d=rot2(phi))
+        return cls(lambda1, lambda2, phi, rot2(phi))
 
 
-@dataclass(frozen=True)
-class EigenDecomp3:
+class EigenDecomp3(_Decomp):
     """Result of diagonalizing a SymMat3: A = D . diag(l1, l2, l3) . D^T.
 
     Eigenvalues are reported in the order the angle equations assume (the
@@ -202,13 +277,19 @@ class EigenDecomp3:
     rot3x(phi1) . rot3y(phi2) . rot3z(phi3) by construction.
     """
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
-    angles: Angles3
-    d: np.ndarray = field(compare=False)
-    branch: Branch = Branch.GENERIC
-    report: SolveReport = field(default_factory=SolveReport)
+    __slots__ = ("lambda1", "lambda2", "lambda3", "angles", "d", "branch",
+                 "report")
+
+    def __init__(self, lambda1, lambda2, lambda3, angles, d,
+                 branch=Branch.GENERIC, report=SolveReport()):
+        _set = object.__setattr__
+        _set(self, "lambda1", lambda1)
+        _set(self, "lambda2", lambda2)
+        _set(self, "lambda3", lambda3)
+        _set(self, "angles", angles)
+        _set(self, "d", d)
+        _set(self, "branch", branch)
+        _set(self, "report", report)
 
     @property
     def lambdas(self):
@@ -251,10 +332,7 @@ def compose_rotation(angles):
     that single product is -0.  The result is bitwise that of the two
     matrix products.
     """
-    if isinstance(angles, Angles3):
-        p1, p2, p3 = angles.as_tuple()
-    else:
-        p1, p2, p3 = angles
+    p1, p2, p3 = angles
     c1, s1 = math.cos(p1), math.sin(p1)
     c2, s2 = math.cos(p2), math.sin(p2)
     xy = np.array([[c2, 0.0, s2 + 0.0],

@@ -16,7 +16,7 @@ solution, or (repeated, repeated, distinct) on the double-root branch.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class DomainExcursion(ValueError):
     does not fit this matrix."""
 
 
-@dataclass(frozen=True)
-class CubicCoeffs:
+class CubicCoeffs(NamedTuple):
     """Coefficients of the characteristic cubic l^3 - b l^2 + c l + d = 0."""
 
     b: float
@@ -77,8 +76,7 @@ class CubicCoeffs:
         return max(1.0, math.sqrt(max(self.b * self.b - 2.0 * self.c, 0.0)))
 
 
-@dataclass(frozen=True)
-class PQ:
+class PQ(NamedTuple):
     """Cubic invariants p, q and the arccos angle delta (absent near p = 0).
 
     double_root records compute_pq's classification of a repeated pair.
@@ -112,7 +110,7 @@ def char_coeffs(a: SymMat3) -> CubicCoeffs:
          - a.a12**2 - a.a13**2 - a.a23**2)
     d = (a.a11 * a.a23**2 + a.a22 * a.a13**2 + a.a33 * a.a12**2
          - a.a11 * a.a22 * a.a33 - 2.0 * a.a12 * a.a13 * a.a23)
-    return CubicCoeffs(b=b, c=c, d=d)
+    return CubicCoeffs(b, c, d)
 
 
 def pq_expanded(a: SymMat3) -> tuple:
@@ -149,18 +147,17 @@ def compute_pq(coeffs: CubicCoeffs) -> PQ:
             raise ValueError(f"p = {p} is negative beyond rounding tolerance")
         p = 0.0
     if p <= triple_root_threshold(s):
-        return PQ(p=p, q=q, delta=None)
+        return PQ(p, q)
     if 4.0 * p**3 - q * q <= discriminant_threshold(s):
         # double root: the arccos argument is +-1 up to (possibly large
         # relative) rounding in q; the sign of q decides the endpoint
-        return PQ(p=p, q=q, delta=0.0 if q >= 0.0 else math.pi,
-                  double_root=True)
+        return PQ(p, q, 0.0 if q >= 0.0 else math.pi, True)
     arg = q / (2.0 * math.sqrt(p**3))
     if abs(arg) > 1.0:
         if abs(arg) > 1.0 + CLAMP_SLACK:
             raise ValueError(f"arccos argument {arg} out of range beyond slack")
         arg = 1.0 if arg > 0.0 else -1.0
-    return PQ(p=p, q=q, delta=math.acos(arg))
+    return PQ(p, q, math.acos(arg))
 
 
 def eigenvalues3(coeffs: CubicCoeffs, pq: PQ) -> tuple:
@@ -326,7 +323,7 @@ def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
         phi1 = 0.0
     if not math.isnan(p11) and (p11 > 0.5 * math.pi or p11 <= -0.5 * math.pi):
         s2, s3 = -s2, -s3
-    return Angles3(phi1=phi1, phi2=s2 * phi2_mag, phi3=s3 * phi3_mag), (s2, s3)
+    return Angles3(phi1, s2 * phi2_mag, s3 * phi3_mag), (s2, s3)
 
 
 def resolve_signs(a: SymMat3, lambdas, v, w):
@@ -356,9 +353,16 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
     # linearly, so swap those in away from pi/4.  A route is only used when
     # its phi1-error amplification (the orthogonal h-component over twice
     # the denominator) stays below one half, so that two passes of
-    # alternating phi1 re-estimation and magnitude refinement contract.
+    # alternating phi1 re-estimation and magnitude refinement contract.  A
+    # pass with both magnitudes inside [pi/8, 3pi/8] refines neither and
+    # would recompute g, p11 and p12 from unchanged inputs, so the loop
+    # ends there.
     if n1 > tol_f:
         for _ in range(2):
+            refine2 = phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi
+            refine3 = phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi
+            if not (refine2 or refine3):
+                break
             phi1_est = _phi1_route(n1, n2, p11, p12)
             if math.isnan(phi1_est):
                 break
@@ -368,7 +372,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
             c1d, s1d = math.cos(2.0 * phi1_est), math.sin(2.0 * phi1_est)
             h2x = c1d * f2x - s1d * f2y
             h2y = s1d * f2x + c1d * f2y
-            if phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi:
+            if refine3:
                 c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
                 den_a = abs(0.5 * gap12 * c2)
                 den_b = abs(gap12 * s2m)
@@ -385,7 +389,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
                     phi3_mag = (half if phi3_mag <= 0.25 * math.pi
                                 else 0.5 * math.pi - half)
                     w = math.cos(phi3_mag) ** 2
-            if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
+            if refine2:
                 den = 0.5 * (gap12 * w + gap23)
                 if abs(den) > 0.0 and abs(hx) / (2.0 * abs(den)) <= 0.5:
                     half = 0.5 * math.asin(min(abs(hy / den), 1.0))
@@ -520,7 +524,7 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
     be solved (a pivot that is not positive, a step that is not finite)
     the best angles so far are returned.
     """
-    p = angles.as_tuple()
+    p = angles
     rec = _reconstruct6(_rotation_rows(*p), lambdas)
     r = _residual6(rec, a)
     best_res, best = math.sqrt(_dot6(r, r)), p
@@ -651,13 +655,11 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             d = compose_rotation(angles)
             # the residual of the d returned, not of the unwrapped polish
             recon_res = _reconstruction_residual(a, d, lambdas, scale)
-    report = SolveReport(selected_signs=report.selected_signs,
-                         phi1_candidates=report.phi1_candidates,
-                         f1_norm=report.f1_norm, f2_norm=report.f2_norm,
-                         recon_residual=recon_res, near_tie=report.near_tie)
-    return EigenDecomp3(lambda1=lambdas[0], lambda2=lambdas[1],
-                        lambda3=lambdas[2], angles=angles, d=d,
-                        branch=branch, report=report)
+    report = SolveReport(report.selected_signs, report.phi1_candidates,
+                         report.f1_norm, report.f2_norm, recon_res,
+                         report.near_tie)
+    return EigenDecomp3(lambdas[0], lambdas[1], lambdas[2], angles, d,
+                        branch, report)
 
 
 def euler_angles(dec: EigenDecomp3) -> Angles3:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symdiag import cli
 from symdiag.cli import (
     ParseError,
     _dumps,
@@ -305,6 +306,29 @@ class TestMainEntry:
 
     def test_missing_input_exit_2(self, capsys):
         assert main(["solve", "--input", "/nonexistent.jsonl"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--input", str(GOLDEN_INPUT), "--output", "{missing}"],
+        ["solve", "--input", str(GOLDEN_INPUT), "--output", "{ok}"],
+        ["verify", "--input", str(GOLDEN_INPUT), "--tol", "1e-9"],
+    ])
+    def test_every_opened_file_is_closed(self, argv, tmp_path, monkeypatch,
+                                          capsys):
+        # the unwritable output is opened after the input, which must still
+        # be closed when main reports the error and returns 2
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            f = open(*args, **kwargs)
+            opened.append(f)
+            return f
+
+        monkeypatch.setattr(cli, "open", tracking_open, raising=False)
+        argv = [a.format(missing=tmp_path / "no-such-dir" / "out.jsonl",
+                         ok=tmp_path / "out.jsonl") for a in argv]
+        rc = main(argv)
+        assert rc == (2 if "no-such-dir" in " ".join(argv) else 0)
+        assert opened and all(f.closed for f in opened)
 
     def test_verify_requires_positive_tol(self, capsys):
         assert main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "0"]) == 2

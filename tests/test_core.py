@@ -1,6 +1,7 @@
 """Value types, angle wrapping and rotation constructors."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from symdiag import (
     AngleOfZeroVector,
     Angles3,
+    Branch,
+    CubicCoeffs,
+    EigenDecomp2,
+    EigenDecomp3,
     NonFiniteInput,
+    PQ,
+    SolveReport,
     SymMat2,
     SymMat3,
     angle_of,
@@ -144,3 +151,154 @@ class TestValueTypes:
         assert abs(a.phi1) < 1e-15
         assert -0.5 * math.pi < a.phi2 <= 0.5 * math.pi
         assert -0.5 * math.pi < a.phi3 <= 0.5 * math.pi
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (9,), (3, 3, 1)])
+    def test_from_array_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(%s" % shape[0]):
+            SymMat3.from_array(np.arange(float(np.prod(shape))).reshape(shape))
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
+
+
+def one_of_each():
+    """One instance of every value type, with distinct field values."""
+    angles = Angles3(0.1, 0.2, 0.3)
+    report = SolveReport((1, -1), ((1, 1, 0.1, 0.2, 0.1),), 1.5, 2.5, 1e-16,
+                         True)
+    return [SymMat2(1.0, 2.0, 0.5), SymMat3(1.0, 2.0, 3.0, 0.1, 0.2, 0.3),
+            angles, report, CubicCoeffs(1.0, 2.0, 3.0), PQ(1.0, 2.0, 0.5),
+            EigenDecomp2(3.0, 1.0, 0.25, np.eye(2)),
+            EigenDecomp3(3.0, 1.0, 2.0, angles, np.eye(3),
+                         Branch.DOUBLE_ROOT, report)]
+
+
+class TestValueTypeContract:
+    """Construction, immutability, equality and pickling of the value
+    types; the same behaviour whatever they are built from."""
+
+    FIELDS = {
+        SymMat2: ("a11", "a22", "a12"),
+        SymMat3: ("a11", "a22", "a33", "a12", "a13", "a23"),
+        Angles3: ("phi1", "phi2", "phi3"),
+        SolveReport: ("selected_signs", "phi1_candidates", "f1_norm",
+                      "f2_norm", "recon_residual", "near_tie"),
+        CubicCoeffs: ("b", "c", "d"),
+        PQ: ("p", "q", "delta", "double_root"),
+        EigenDecomp2: ("lambda1", "lambda2", "phi", "d"),
+        EigenDecomp3: ("lambda1", "lambda2", "lambda3", "angles", "d",
+                       "branch", "report"),
+    }
+
+    def test_positional_and_keyword_construction_in_field_order(self):
+        for obj in one_of_each():
+            names = self.FIELDS[type(obj)]
+            values = [getattr(obj, k) for k in names]
+            by_position = type(obj)(*values)
+            by_keyword = type(obj)(**dict(zip(names, values)))
+            for built in (by_position, by_keyword):
+                for k, v in zip(names, values):
+                    got = getattr(built, k)
+                    assert got is v or (type(got) is float
+                                        and same_bits(got, v)), (obj, k)
+
+    def test_defaults(self):
+        r = SolveReport()
+        assert (r.selected_signs, r.phi1_candidates, r.f1_norm, r.f2_norm,
+                r.near_tie) == ((1, 1), (), 0.0, 0.0, False)
+        assert math.isnan(r.recon_residual)
+        pq = PQ(1.0, 2.0)
+        assert pq.delta is None and pq.double_root is False
+        dec = EigenDecomp3(1.0, 1.0, 1.0, Angles3(0.0, 0.0, 0.0), np.eye(3))
+        assert dec.branch is Branch.GENERIC
+        assert dec.report == SolveReport()
+
+    def test_numpy_components_stored_as_python_floats(self):
+        row = np.random.default_rng(3).uniform(-1.0, 1.0, 6)
+        for m in (SymMat3(*row), SymMat2(*row[:3]),
+                  SymMat3(*row.astype(np.float32)), SymMat2(1, 2, True)):
+            for k in self.FIELDS[type(m)]:
+                assert type(getattr(m, k)) is float, (m, k)
+        m = SymMat3(*row)
+        assert same_bits([getattr(m, k) for k in self.FIELDS[SymMat3]], row)
+
+    @pytest.mark.parametrize("cls", [SymMat2, SymMat3, Angles3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     np.float64(math.nan)])
+    def test_non_finite_component_raises(self, cls, bad):
+        n = len(self.FIELDS[cls])
+        for i in range(n):
+            args = [0.5] * n
+            args[i] = bad
+            with pytest.raises(NonFiniteInput, match=cls.__name__):
+                cls(*args)
+
+    @pytest.mark.parametrize("cls", [SymMat2, SymMat3, Angles3])
+    @pytest.mark.parametrize("bad, exc", [("1.0", TypeError),
+                                          (None, TypeError),
+                                          (10**400, OverflowError)])
+    def test_non_number_component_raises(self, cls, bad, exc):
+        n = len(self.FIELDS[cls])
+        for i in range(n):
+            args = [0.5] * n
+            args[i] = bad
+            with pytest.raises(exc):
+                cls(*args)
+
+    def test_angles3_wraps_bitwise_like_wrap_half_pi(self):
+        cases = (0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi, -0.0,
+                 0.0, 2.0, -2.0, 7.5, 1e-300)
+        for phi in cases:
+            a = Angles3(phi, -phi, 0.3)
+            assert same_bits([a.phi1, a.phi2, a.phi3],
+                             [wrap_half_pi(phi), wrap_half_pi(-phi),
+                              wrap_half_pi(0.3)]), phi
+
+    def test_fields_cannot_be_assigned(self):
+        for obj in one_of_each():
+            for k in self.FIELDS[type(obj)]:
+                with pytest.raises(AttributeError):
+                    setattr(obj, k, 0.0)
+                with pytest.raises(AttributeError):
+                    delattr(obj, k)
+
+    def test_same_type_equality(self):
+        for obj, twin in zip(one_of_each(), one_of_each()):
+            assert obj == twin and not obj != twin, type(obj)
+            assert hash(obj) == hash(twin), type(obj)
+        assert SymMat3(1, 2, 3, 0, 0, 0) != SymMat3(1, 2, 3, 0, 0, 1e-300)
+        assert Angles3(0.1, 0.2, 0.3) != Angles3(0.1, 0.2, -0.3)
+
+    def test_decomposition_equality_ignores_d(self):
+        dec2, dec3 = one_of_each()[-2:]
+        assert EigenDecomp3(3.0, 1.0, 2.0, dec3.angles, -np.eye(3),
+                            dec3.branch, dec3.report) == dec3
+        assert EigenDecomp2(3.0, 1.0, 0.25, -np.eye(2)) == dec2
+        assert EigenDecomp3(3.0, 1.0, 2.0, dec3.angles, dec3.d,
+                            Branch.GENERIC, dec3.report) != dec3
+        assert EigenDecomp2(3.0, 1.0, 0.5, dec2.d) != dec2
+
+    def test_pickle_round_trip(self):
+        for obj in one_of_each():
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj) and back == obj, type(obj)
+            if hasattr(obj, "d") and isinstance(obj.d, np.ndarray):
+                assert back.d.tobytes() == obj.d.tobytes()
+
+    def test_repr_names_the_fields(self):
+        assert repr(SymMat3(1, 2, 3, 0.1, 0.2, 0.3)) == (
+            "SymMat3(a11=1.0, a22=2.0, a33=3.0, a12=0.1, a13=0.2, a23=0.3)")
+        assert repr(Angles3(0.1, 0.2, 0.3)) == (
+            "Angles3(phi1=0.1, phi2=0.2, phi3=0.3)")
+        assert repr(EigenDecomp2(3.0, 1.0, 0.25, np.eye(2))).startswith(
+            "EigenDecomp2(lambda1=3.0, lambda2=1.0, phi=0.25, d=array(")
+
+    def test_replace_goes_through_the_checks(self):
+        m = SymMat3(1, 2, 3, 0, 0, 0)
+        assert m._replace(a23=np.float64(0.5)) == SymMat3(1, 2, 3, 0, 0, 0.5)
+        assert type(m._replace(a23=np.float64(0.5)).a23) is float
+        with pytest.raises(NonFiniteInput):
+            m._replace(a11=math.nan)
+        assert Angles3(0.1, 0.2, 0.3)._replace(phi1=math.pi).phi1 == 0.0

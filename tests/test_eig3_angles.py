@@ -273,6 +273,104 @@ class TestTwinScoringPin:
         assert min(seen.values()) >= 20, seen
 
 
+def _two_pass_resolve_signs(a, lambdas, v, w, seen):
+    """resolve_signs running both refinement passes whatever the angle
+    magnitudes; seen counts which magnitudes start outside [pi/8, 3pi/8]."""
+    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = eig3._f_route(
+        a, a.scale())
+    if n1 <= tol_f and n2 <= tol_f:
+        raise eig3.BothFVectorsZero("matrix is diagonal with two equal entries")
+    phi2_mag = math.acos(math.sqrt(eig3._clamp_unit(v, "v")))
+    phi3_mag = math.acos(math.sqrt(eig3._clamp_unit(w, "w")))
+    l1, l2, l3 = lambdas
+    gap12, gap23 = l1 - l2, l2 - l3
+    g = eig3._g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
+    (s2, s3, p11, p12, _), candidates, near_tie = eig3._select_signs(
+        n1, n2, tol_f, cs1, cs2, g)
+    if n1 > tol_f:
+        out2 = phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi
+        out3 = phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi
+        seen[{(False, False): "middle", (True, False): "phi2 only",
+              (False, True): "phi3 only", (True, True): "both"}[
+                  out2, out3]] += 1
+        for _ in range(2):
+            phi1_est = eig3._phi1_route(n1, n2, p11, p12)
+            if math.isnan(phi1_est):
+                break
+            c1, s1 = math.cos(phi1_est), math.sin(phi1_est)
+            hx = c1 * f1x - s1 * f1y
+            hy = s1 * f1x + c1 * f1y
+            c1d, s1d = math.cos(2.0 * phi1_est), math.sin(2.0 * phi1_est)
+            h2x = c1d * f2x - s1d * f2y
+            h2y = s1d * f2x + c1d * f2y
+            if phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi:
+                c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
+                den_a = abs(0.5 * gap12 * c2)
+                den_b = abs(gap12 * s2m)
+                k_a = abs(hy) / (2.0 * den_a) if den_a > 0.0 else math.inf
+                k_b = (abs(h2x) / den_b
+                       if n2 > tol_f and den_b > 0.0 else math.inf)
+                est = math.inf
+                if k_a <= min(k_b, 0.5):
+                    est = hx / (0.5 * gap12 * c2)
+                elif k_b <= 0.5:
+                    est = h2y / (gap12 * s2m)
+                if math.isfinite(est):
+                    half = 0.5 * math.asin(min(abs(est), 1.0))
+                    phi3_mag = (half if phi3_mag <= 0.25 * math.pi
+                                else 0.5 * math.pi - half)
+                    w = math.cos(phi3_mag) ** 2
+            if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
+                den = 0.5 * (gap12 * w + gap23)
+                if abs(den) > 0.0 and abs(hx) / (2.0 * abs(den)) <= 0.5:
+                    half = 0.5 * math.asin(min(abs(hy / den), 1.0))
+                    phi2_mag = (half if phi2_mag <= 0.25 * math.pi
+                                else 0.5 * math.pi - half)
+                    v = math.cos(phi2_mag) ** 2
+            g = eig3._g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
+            p11, p12 = eig3._phi1_candidates(n1, n2, tol_f, cs1, cs2, g,
+                                             s2, s3)
+    angles, signs = eig3._assemble_angles(n1, n2, p11, p12,
+                                          s2, s3, phi2_mag, phi3_mag)
+    report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
+                         f1_norm=n1, f2_norm=n2, near_tie=near_tie)
+    return angles, report
+
+
+def report_bits(r):
+    """Every SolveReport field, with floats as their bit patterns."""
+    floats = [x for c in r.phi1_candidates for x in c[2:]]
+    floats += [r.f1_norm, r.f2_norm, r.recon_residual]
+    return (tuple(r.selected_signs), [c[:2] for c in r.phi1_candidates],
+            np.asarray(floats, dtype=float).view(np.int64).tolist(),
+            r.near_tie)
+
+
+class TestRefinementPassSkipPin:
+    """Ending the refinement loop once both angle magnitudes lie inside
+    [pi/8, 3pi/8] gives bitwise the results of always running both
+    passes: such a pass refines nothing."""
+
+    def test_matches_two_unconditional_passes(self, monkeypatch):
+        mats = TestTwinScoringPin.corpus()
+        got = [diagonalize3(a) for a in mats]
+        seen = dict.fromkeys(("middle", "phi2 only", "phi3 only", "both"), 0)
+        monkeypatch.setattr(
+            eig3, "resolve_signs",
+            lambda a, lambdas, v, w: _two_pass_resolve_signs(
+                a, lambdas, v, w, seen))
+        for a, dec in zip(mats, got):
+            ref = diagonalize3(a)
+            assert same_bits(dec.angles.as_tuple(), ref.angles.as_tuple()), a
+            assert dec.d.tobytes() == ref.d.tobytes(), a
+            assert dec.branch is ref.branch, a
+            assert report_bits(dec.report) == report_bits(ref.report), a
+        # the corpus reaches a skipped first pass and each single-angle
+        # refinement, whose passes must still run
+        assert min(seen["middle"], seen["phi2 only"],
+                   seen["phi3 only"]) >= 20, seen
+
+
 class TestDoubleRootFlag:
     def test_set_on_separated_double_roots(self):
         # criterion 4(a)'s construction

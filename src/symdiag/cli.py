@@ -17,6 +17,7 @@ returns for a real array.
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 
@@ -277,8 +278,9 @@ def main(argv=None):
                         else files.enter_context(open(args.output, "w")))
                 return cmd_solve(fin, fout)
             if args.command == "verify":
-                if args.tol <= 0.0:
-                    print("error: --tol must be positive", file=sys.stderr)
+                if not 0.0 < args.tol < math.inf:
+                    print("error: --tol must be positive and finite",
+                          file=sys.stderr)
                     return 2
                 fin = (sys.stdin if args.input == "-"
                        else files.enter_context(open(args.input)))

@@ -2,15 +2,16 @@
 
 Nothing here shares a code path with the trigonometric formulas: the
 eigensolver is classical cyclic Jacobi, and the cubic roots come from
-bracketed root finding on the characteristic polynomial.  Performance is a
-non-goal; reliability is the point.
+bisection of brackets on the characteristic polynomial.  Both are written
+here on numpy and the standard library alone, so importing the package
+loads no other dependency.  Performance is a non-goal; reliability is the
+point.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import SymMat2, SymMat3
 from .eig3 import CubicCoeffs
@@ -21,6 +22,10 @@ MAX_SWEEPS = 100
 JACOBI_PRESCALE_ABOVE = 2.0**500
 # |poly| at a critical point below this (times scale^3) marks a double root
 DOUBLE_ROOT_POLY_EPS = 1e-11
+# Bisection stops once its bracket is narrower than
+# ROOT_XTOL + ROOT_RTOL * |midpoint| (scipy's brentq stopping rule).
+ROOT_XTOL = 1e-15
+ROOT_RTOL = 4 * math.ulp(1.0)
 
 
 class NoConvergence(RuntimeError):
@@ -55,8 +60,8 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
     the eigenvalues and the final off-diagonal norm are scaled back by 2^e,
     both exactly.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if isinstance(a, (SymMat2, SymMat3)):
         m = a.to_array()
     else:
@@ -98,13 +103,45 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
                                                  exp))
 
 
+def _bisect(f, a, b):
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Halves the bracket until it is narrower than ROOT_XTOL + ROOT_RTOL *
+    |midpoint| or the midpoint rounds to one of its ends, and returns the
+    midpoint.  An exact zero at an end or at a midpoint is returned at
+    once.  Raises ValueError when f(a) and f(b) have the same sign, as
+    brentq does, and also when either of them is NaN.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        raise ValueError("f(a) and f(b) must have different signs")
+    neg, pos = (a, b) if fa < 0.0 else (b, a)
+    while True:
+        mid = 0.5 * neg + 0.5 * pos
+        if (mid == neg or mid == pos
+                or abs(pos - neg) < ROOT_XTOL + ROOT_RTOL * abs(mid)):
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fm < 0.0:
+            neg = mid
+        else:
+            pos = mid
+
+
 def cubic_roots_reference(coeffs: CubicCoeffs):
     """Three real roots of l^3 - b l^2 + c l + d by bracketing and bisection.
 
     The critical points (b +- sqrt(p))/3 split the line into three brackets;
     all roots lie within (b +- 2 sqrt(p))/3.  A near-zero polynomial value at
-    a critical point is a double root there.  Deliberately slow and
-    unconditionally reliable.
+    a critical point is a double root there.  Each simple root is found by
+    ``_bisect`` to brentq's stopping tolerances, ROOT_XTOL and ROOT_RTOL.
+    Deliberately slow and unconditionally reliable.
     """
     b, c, d = coeffs.b, coeffs.c, coeffs.d
 
@@ -136,15 +173,12 @@ def cubic_roots_reference(coeffs: CubicCoeffs):
 
     if abs(f_lo) <= ptol:
         # double root at the local maximum, simple root to the right
-        r = brentq(poly, x_hi, hi, xtol=1e-15, rtol=4 * math.ulp(1.0))
-        return (x_lo, x_lo, r)
+        return (x_lo, x_lo, _bisect(poly, x_hi, hi))
     if abs(f_hi) <= ptol:
-        r = brentq(poly, lo, x_lo, xtol=1e-15, rtol=4 * math.ulp(1.0))
-        return (r, x_hi, x_hi)
-    kw = dict(xtol=1e-15, rtol=4 * math.ulp(1.0))
-    return (brentq(poly, lo, x_lo, **kw),
-            brentq(poly, x_lo, x_hi, **kw),
-            brentq(poly, x_hi, hi, **kw))
+        return (_bisect(poly, lo, x_lo), x_hi, x_hi)
+    return (_bisect(poly, lo, x_lo),
+            _bisect(poly, x_lo, x_hi),
+            _bisect(poly, x_hi, hi))
 
 
 def reconstruct(d, lambdas):

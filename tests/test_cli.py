@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,7 @@ from conftest import (
     structured_sym3,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 GOLDEN_INPUT = DATA / "golden_input.jsonl"
 GOLDEN_EXPECTED = DATA / "golden_expected.jsonl"
@@ -333,6 +337,15 @@ class TestMainEntry:
     def test_verify_requires_positive_tol(self, capsys):
         assert main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "0"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_verify_rejects_non_finite_tol(self, tol, capsys):
+        # a NaN tol failed every record and an infinite one passed them all
+        rc = main(["verify", "--input", str(GOLDEN_INPUT), f"--tol={tol}"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert "--tol must be positive and finite" in err
+
     def test_verify_self_test_corrupt(self, capsys):
         rc = main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "1e-7",
                    "--self-test-corrupt"])
@@ -376,3 +389,21 @@ class TestGoldenCorpus:
         branches = {r["branch"] for r in results}
         assert {"TripleRoot", "DoubleRoot", "Generic", None} <= branches
         assert sum(r["dim"] == 2 for r in results) >= 3
+
+
+class TestColdStart:
+    def test_import_loads_numpy_and_the_stdlib_only(self):
+        """A fresh ``import symdiag, symdiag.cli`` must not pull in scipy,
+        whose import cost most of the start-up of ``symdiag solve``."""
+        code = ("import sys; before = set(sys.modules); "
+                "import symdiag, symdiag.cli; "
+                "print(symdiag.__file__); "
+                "print(*sorted({m.split('.')[0] for m in sys.modules} "
+                "- {m.split('.')[0] for m in before} "
+                "- set(sys.stdlib_module_names)))")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        path, loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True).stdout.splitlines()
+        assert Path(path).resolve().is_relative_to(SRC)
+        assert loaded.split() == ["numpy", "symdiag"]

@@ -10,6 +10,7 @@ from symdiag import (
     CubicCoeffs,
     SymMat2,
     SymMat3,
+    char_coeffs,
     cubic_roots_reference,
     diagonalize2,
     diagonalize3,
@@ -18,6 +19,7 @@ from symdiag import (
     residuals,
     rot2,
 )
+from symdiag import oracle
 from conftest import (
     clustered_sym3,
     random_sym2,
@@ -88,8 +90,11 @@ class TestJacobi:
             assert big.eigenvectors.tobytes() == small.eigenvectors.tobytes()
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            jacobi_eigen(SymMat2(1.0, 2.0, 0.5), tol=0.0)
+        for tol in (0.0, -1e-13, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                jacobi_eigen(SymMat2(1.0, 2.0, 0.5), tol=tol)
+            with pytest.raises(ValueError):
+                jacobi_eigen(SymMat3(1.0, 2.0, 3.0, 0.5, 0.4, 0.3), tol=tol)
 
 
 class TestCubicRootsReference:
@@ -120,6 +125,70 @@ class TestCubicRootsReference:
         # l^3 + l has roots 0, +-i
         with pytest.raises(ComplexRootsDetected):
             cubic_roots_reference(CubicCoeffs(b=0.0, c=1.0, d=0.0))
+
+    def test_agrees_with_brentq(self, monkeypatch):
+        """The bisection replaced scipy's brentq on the same brackets and
+        tolerances; both must land on the same roots."""
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        rng = np.random.default_rng(81)
+        coeffs = [char_coeffs(random_sym3(rng)) for _ in range(2000)]
+        got = np.sort([cubic_roots_reference(c) for c in coeffs], axis=1)
+        monkeypatch.setattr(
+            oracle, "_bisect", lambda f, a, b: brentq(
+                f, a, b, xtol=oracle.ROOT_XTOL, rtol=oracle.ROOT_RTOL))
+        ref = np.sort([cubic_roots_reference(c) for c in coeffs], axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestBisect:
+    @staticmethod
+    def cubic(x):
+        return (x - 1.0) * (x - 2.0) * (x - 3.0)
+
+    def test_same_sign_ends_raise(self):
+        for a, b in ((1.5, 1.75), (3.5, 4.0), (0.0, 0.5)):
+            with pytest.raises(ValueError, match="different signs"):
+                oracle._bisect(self.cubic, a, b)
+
+    def test_nan_end_raises(self):
+        with pytest.raises(ValueError):
+            oracle._bisect(lambda x: math.nan if x < 0.0 else x, -1.0, 1.0)
+
+    def test_root_at_an_end_is_returned(self):
+        assert oracle._bisect(self.cubic, 1.0, 1.5) == 1.0
+        assert oracle._bisect(self.cubic, 0.5, 1.0) == 1.0
+        assert oracle._bisect(self.cubic, 3.0, 2.5) == 3.0
+
+    def test_exact_zero_at_a_midpoint(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return self.cubic(x)
+
+        assert oracle._bisect(f, 0.0, 4.0) == 2.0
+        assert calls == [0.0, 4.0, 2.0]
+
+    def test_either_orientation(self):
+        for a, b in ((2.5, 4.0), (4.0, 2.5)):
+            assert oracle._bisect(self.cubic, a, b) == pytest.approx(
+                3.0, abs=1e-15)
+            assert oracle._bisect(lambda x: -self.cubic(x), a, b) == (
+                pytest.approx(3.0, abs=1e-15))
+
+    def test_stops_at_tolerance(self):
+        root = math.sqrt(2.0)
+        got = oracle._bisect(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert abs(got - root) <= oracle.ROOT_XTOL + oracle.ROOT_RTOL * root
+
+    def test_stops_when_the_midpoint_is_an_end(self, monkeypatch):
+        # With no tolerance the bracket shrinks to two adjacent doubles
+        # around the sign change, whose midpoint rounds to one of them.
+        monkeypatch.setattr(oracle, "ROOT_XTOL", 0.0)
+        monkeypatch.setattr(oracle, "ROOT_RTOL", 0.0)
+        step = math.nextafter(math.pi, math.inf)
+        got = oracle._bisect(lambda x: -1.0 if x < step else 1.0, 0.0, 4.0)
+        assert got in (math.pi, step)
 
 
 class TestReconstruct:

@@ -46,8 +46,6 @@ from .eig3 import (
 )
 from .oracle import (
     ComplexRootsDetected,
-    JacobiResult,
-    NoConvergence,
     cubic_roots_reference,
     jacobi_eigen,
     reconstruct,
@@ -64,8 +62,8 @@ __all__ = [
     "char_coeffs", "compute_pq", "compute_v", "compute_w",
     "degenerate_double", "diagonalize3", "eigenvalues3", "euler_angles",
     "f_vectors", "g_vectors", "pq_expanded",
-    "ComplexRootsDetected", "JacobiResult", "NoConvergence",
-    "cubic_roots_reference", "jacobi_eigen", "reconstruct", "residuals",
+    "ComplexRootsDetected", "cubic_roots_reference", "jacobi_eigen",
+    "reconstruct", "residuals",
 ]
 
 __version__ = "0.1.0"

@@ -91,7 +91,7 @@ def parse_record(line):
     return rec_id, dim, mat
 
 
-def solve_record(rec_id, dim, mat, corrupt=False):
+def solve_record(rec_id, dim, mat):
     """One ResultRecord dict for a parsed matrix."""
     if dim == 2:
         dec = diagonalize2(mat)
@@ -105,11 +105,6 @@ def solve_record(rec_id, dim, mat, corrupt=False):
         angles = list(dec.angles.as_tuple())
         euler = list(euler_angles(dec).as_tuple())
         branch = dec.branch.value
-    if corrupt:
-        # test hook: break the decomposition so verify reports failures
-        d = dec.d.copy()
-        d[0, 0] += 1e-3
-        object.__setattr__(dec, "d", d)
     recon, ortho, eigvec = residuals(mat, dec)
     return {
         "id": rec_id,
@@ -154,7 +149,7 @@ def cmd_solve(in_stream, out_stream):
     return 0 if n_ok > 0 or n_fail == 0 else 2
 
 
-def cmd_verify(in_stream, out_stream, tol, corrupt=False):
+def cmd_verify(in_stream, out_stream, tol):
     """Check every record against the Jacobi oracle and report a summary.
 
     A record passes when the sorted-eigenvalue deviation from Jacobi and the
@@ -177,7 +172,7 @@ def cmd_verify(in_stream, out_stream, tol, corrupt=False):
             n_parse += 1
             continue
         try:
-            result, dec = solve_record(rec_id, dim, mat, corrupt=corrupt)
+            result, dec = solve_record(rec_id, dim, mat)
         except (ArithmeticError, ValueError):
             n_fail += 1
             n_errors += 1
@@ -257,8 +252,6 @@ def build_parser():
     p_verify.add_argument("--input", default="-", help="input path (default stdin)")
     p_verify.add_argument("--tol", type=float, required=True,
                           help="pass/fail tolerance")
-    p_verify.add_argument("--self-test-corrupt", action="store_true",
-                          help=argparse.SUPPRESS)
 
     p_bench = sub.add_parser("bench", help="closed-form vs Jacobi throughput")
     p_bench.add_argument("--n", type=int, required=True, help="matrix count")
@@ -284,8 +277,7 @@ def main(argv=None):
                     return 2
                 fin = (sys.stdin if args.input == "-"
                        else files.enter_context(open(args.input)))
-                return cmd_verify(fin, sys.stdout, args.tol,
-                                  corrupt=args.self_test_corrupt)
+                return cmd_verify(fin, sys.stdout, args.tol)
             if args.command == "bench":
                 if args.n < 1:
                     print("error: --n must be at least 1", file=sys.stderr)

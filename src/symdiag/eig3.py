@@ -8,7 +8,10 @@ leaves their signs.  D is invariant under (phi1 + pi, -phi2, -phi3), so
 only (+,+) and (+,-) are distinct rotations; the generic branch picks the
 one whose two independent estimates of phi1 (one from each of two 2-vector
 identities) agree.  The double-root branch (phi3 = 0) has one rotation
-left and scores nothing.
+left and scores nothing.  Both branches share the g-vector formula
+(_g_components), the arcsine refinement (_half_asin) and, with the polish,
+the twin rule that keeps the signs right when an angle is wrapped by pi
+(_half_turn_apart).
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -308,20 +311,37 @@ def _phi1_route(n1, n2, p11, p12):
     return p12 if math.isnan(p11) or (n2 > n1 and not math.isnan(p12)) else p11
 
 
+def _half_turn_apart(full, rep):
+    """Whether rep is nearer full + pi than full on the circle of period 2pi.
+
+    D is invariant under (phi1 + pi, -phi2, -phi3) and (phi1, phi2 + pi,
+    -phi3): the twin rule.  So when the angle returned is rep but the
+    rotation found has angle full, the angles after it must be negated
+    exactly when this holds.  False when either angle is NaN.
+    """
+    return abs(math.remainder(full - rep, 2.0 * math.pi)) > 0.5 * math.pi
+
+
+def _half_asin(x, mag):
+    """The theta in [0, pi/2] with sin(2 theta) = min(|x|, 1), on the same
+    side of pi/4 as the estimate mag."""
+    half = 0.5 * math.asin(min(abs(x), 1.0))
+    return half if mag <= 0.25 * math.pi else 0.5 * math.pi - half
+
+
 def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     """Final triple with a consistent phi1 representative.
 
-    The decomposition is invariant under (phi1 + pi, -phi2, -phi3), so when
-    the recovered phi1 lies outside (-pi/2, pi/2] wrapping it back must flip
-    both selected signs.  The f1/g1 route carries the full mod-2pi value of
-    phi1 and decides the flip whenever it is available; the f2/g2 route only
-    determines phi1 mod pi (its representative already lies in range, and
-    with f1 = 0 the sign choice is immaterial).
+    phi1 is returned as wrap_half_pi of the routed estimate.  The f1/g1
+    route carries the full mod-2pi value p11 of the rotation found; the
+    f2/g2 route only determines phi1 mod pi.  So the twin rule compares the
+    returned phi1 with p11, whichever route gave it, and flips both selected
+    signs when they are a half turn apart.  With f1 = 0 (p11 NaN) the sign
+    choice is immaterial and nothing flips.
     """
     phi1 = _phi1_route(n1, n2, p11, p12)
-    if math.isnan(phi1):
-        phi1 = 0.0
-    if not math.isnan(p11) and (p11 > 0.5 * math.pi or p11 <= -0.5 * math.pi):
+    phi1 = 0.0 if math.isnan(phi1) else wrap_half_pi(phi1)
+    if _half_turn_apart(p11, phi1):
         s2, s3 = -s2, -s3
     return Angles3(phi1, s2 * phi2_mag, s3 * phi3_mag), (s2, s3)
 
@@ -331,7 +351,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
 
     Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
     scored: D is invariant under (phi1 + pi, -phi2, -phi3), and
-    _assemble_angles flips to that twin when phi1 leaves (-pi/2, pi/2].
+    _assemble_angles flips to that twin by _half_turn_apart.
     Both f-vectors zero means the matrix is diagonal with a repeated entry
     and must go to the double-root branch.
     """
@@ -385,16 +405,12 @@ def resolve_signs(a: SymMat3, lambdas, v, w):
                 elif k_b <= 0.5:
                     est = h2y / (gap12 * s2m)
                 if math.isfinite(est):
-                    half = 0.5 * math.asin(min(abs(est), 1.0))
-                    phi3_mag = (half if phi3_mag <= 0.25 * math.pi
-                                else 0.5 * math.pi - half)
+                    phi3_mag = _half_asin(est, phi3_mag)
                     w = math.cos(phi3_mag) ** 2
             if refine2:
                 den = 0.5 * (gap12 * w + gap23)
                 if abs(den) > 0.0 and abs(hx) / (2.0 * abs(den)) <= 0.5:
-                    half = 0.5 * math.asin(min(abs(hy / den), 1.0))
-                    phi2_mag = (half if phi2_mag <= 0.25 * math.pi
-                                else 0.5 * math.pi - half)
+                    phi2_mag = _half_asin(hy / den, phi2_mag)
                     v = math.cos(phi2_mag) ** 2
             g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
             p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
@@ -411,9 +427,10 @@ def degenerate_double(a: SymMat3, lam, lam3):
 
     Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
     invariant under (phi1 + pi, -phi2, -phi3), so both signs of phi2 give
-    one rotation: nothing is scored and phi2 is taken >= 0 (before the phi1
-    range flip).  phi1 comes from the f/g routes with the g-vectors in
-    their simplified double-root form.
+    one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
+    rule of _assemble_angles).  phi1 comes from the f/g routes, with the
+    generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
+    v = cos(phi2)^2 and w = 1.
     """
     scale = a.scale()
     if abs(lam - lam3) <= DEGENERATE_EPS * scale:
@@ -430,14 +447,10 @@ def degenerate_double(a: SymMat3, lam, lam3):
     # root), while the arcsin route is linear there; swap it in away from
     # pi/4, keeping the quadrant decided by s.
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        sin2 = min(2.0 * n1 / abs(lam - lam3), 1.0)
-        half = 0.5 * math.asin(sin2)
-        phi2_mag = half if phi2_mag <= 0.25 * math.pi else 0.5 * math.pi - half
+        phi2_mag = _half_asin(2.0 * n1 / (lam - lam3), phi2_mag)
         s = math.cos(phi2_mag) ** 2
 
-    # with phi3 = 0, g1x and g2y vanish
-    g = (0.0, 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag),
-         (lam - lam3) * s, 0.0)
+    g = _g_components(0.0, lam - lam3, phi2_mag, 0.0, s, 1.0)
     p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, 1)
     # an already diagonal matrix has no usable route and gets phi1 = 0: any
     # phi1 rotates within the repeated eigenspace
@@ -544,20 +557,14 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
         if res < best_res:
             best_res, best = res, p
     # Angles3 wraps each angle by pi on its own.  For phi3 that only flips
-    # two columns of D, but D is invariant under (phi1 + pi, -phi2, -phi3)
-    # and (phi1, phi2 + pi, -phi3), so an odd wrap of phi1 or phi2 must
-    # negate the angles after it.
+    # two columns of D; an odd wrap of phi1 or phi2 must negate the angles
+    # after it (the twin rule).
     p1, p2, p3 = best
-    if _half_turns(p1) % 2:
+    if _half_turn_apart(p1, wrap_half_pi(p1)):
         p2, p3 = -p2, -p3
-    if _half_turns(p2) % 2:
+    if _half_turn_apart(p2, wrap_half_pi(p2)):
         p3 = -p3
     return Angles3(p1, p2, p3), best_res
-
-
-def _half_turns(phi):
-    """How many times wrap_half_pi shifts phi by pi."""
-    return round((phi - wrap_half_pi(phi)) / math.pi)
 
 
 def _double_root_lambdas(lambdas):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdiag import cli
+from symdiag import EigenDecomp3, cli
 from symdiag.cli import (
     ParseError,
     _dumps,
@@ -34,6 +34,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 GOLDEN_INPUT = DATA / "golden_input.jsonl"
 GOLDEN_EXPECTED = DATA / "golden_expected.jsonl"
+# Three twin-rule reproducers, then 297 rows of
+# numpy.random.default_rng(9).integers(-3, 4, (297, 6)).
+INTEGER_INPUT = DATA / "integer_input.jsonl"
 # Finite entries whose squares overflow a double: the solver raises on it.
 HUGE_RECORD = json.dumps({"id": "huge", "a11": 1e200, "a22": 2e200,
                           "a33": 3e200, "a12": 1e199, "a13": 2e199,
@@ -49,6 +52,21 @@ LONG_INT_DIGITS = (400, 5000)
 def long_int_record(digits):
     return ('{"id": "long", "a11": %s, "a22": 1, "a33": 1,'
             ' "a12": 0, "a13": 0, "a23": 0}' % ("9" * digits))
+
+
+def corrupt_diagonalize3(monkeypatch):
+    """Make the CLI's diagonalize3 return d with d[0, 0] off by 1e-3, so
+    verify must fail every 3x3 record."""
+    solve = cli.diagonalize3
+
+    def corrupted(mat):
+        dec = solve(mat)
+        d = dec.d.copy()
+        d[0, 0] += 1e-3
+        return EigenDecomp3(*dec.lambdas, dec.angles, d, dec.branch,
+                            dec.report)
+
+    monkeypatch.setattr(cli, "diagonalize3", corrupted)
 
 
 class TestParseRecord:
@@ -228,6 +246,15 @@ class TestCmdVerify:
         assert summary["pass"] == 500 and summary["fail"] == 0
         assert summary["max_eigenvalue_deviation"] <= 1e-9
 
+    def test_integer_corpus_passes(self):
+        # the first three rows took the wrong twin rotation (residual ~1)
+        out = io.StringIO()
+        with open(INTEGER_INPUT) as fin:
+            rc = cmd_verify(fin, out, tol=1e-10)
+        summary = json.loads(out.getvalue())
+        assert rc == 0
+        assert summary["records"] == 300 and summary["pass"] == 300
+
     def test_double_root_corpus_passes(self):
         rng = np.random.default_rng(12)
         lines = []
@@ -274,10 +301,10 @@ class TestCmdVerify:
         assert summary["pass"] == 1 and summary["fail"] == 1
         assert summary["parse_errors"] == 1 and summary["solver_errors"] == 0
 
-    def test_corrupt_hook_reports_failures(self):
+    def test_corrupt_hook_reports_failures(self, monkeypatch):
+        corrupt_diagonalize3(monkeypatch)
         out = io.StringIO()
-        rc = cmd_verify(io.StringIO(self.corpus(20, 13)), out, tol=1e-9,
-                        corrupt=True)
+        rc = cmd_verify(io.StringIO(self.corpus(20, 13)), out, tol=1e-9)
         summary = json.loads(out.getvalue())
         assert rc == 1
         assert summary["fail"] > 0
@@ -346,9 +373,9 @@ class TestMainEntry:
         assert out == ""
         assert "--tol must be positive and finite" in err
 
-    def test_verify_self_test_corrupt(self, capsys):
-        rc = main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "1e-7",
-                   "--self-test-corrupt"])
+    def test_verify_self_test_corrupt(self, monkeypatch, capsys):
+        corrupt_diagonalize3(monkeypatch)
+        rc = main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "1e-7"])
         capsys.readouterr()
         assert rc == 1
 

@@ -14,6 +14,7 @@ from symdiag import (
     compute_pq,
     compute_v,
     compute_w,
+    compose_rotation,
     degenerate_double,
     diagonalize3,
     eigenvalues3,
@@ -226,8 +227,7 @@ def _scored_double(a, lam, lam3):
         half = 0.5 * math.asin(sin2)
         phi2_mag = half if phi2_mag <= 0.25 * math.pi else 0.5 * math.pi - half
         s = math.cos(phi2_mag) ** 2
-    g = (0.0, 0.5 * (lam - lam3) * math.sin(2.0 * phi2_mag),
-         (lam - lam3) * s, 0.0)
+    g = eig3._g_components(0.0, lam - lam3, phi2_mag, 0.0, s, 1.0)
     (s2, s3, p11, p12, _), candidates, near_tie = _four_combo_select(
         ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
     angles, signs = eig3._assemble_angles(n1, n2, p11, p12,
@@ -369,6 +369,53 @@ class TestRefinementPassSkipPin:
         # refinement, whose passes must still run
         assert min(seen["middle"], seen["phi2 only"],
                    seen["phi3 only"]) >= 20, seen
+
+
+# Generic matrices whose phi1 comes from the f2/g2 route while p11, the
+# f1/g1 route's full angle, lies on the other side of +-pi/2: the twin rule
+# must compare the returned phi1 with p11, not test p11's range.
+TWIN_REPRODUCERS = (
+    SymMat3(0.5, 0.5, 1.0, 0.0, 2.0, -1.0),
+    SymMat3(1.0, 1.0, -1.0, 0.0, 2.0, -1.0),
+    SymMat3(0.0, 0.5, 2.0, -1.0, 0.0, 0.0),
+)
+
+
+class TestTwinRule:
+    @pytest.mark.parametrize("a", TWIN_REPRODUCERS)
+    def test_reproducers(self, a):
+        dec = diagonalize3(a)
+        assert dec.branch is Branch.GENERIC
+        assert residuals(a, dec)[0] <= 1e-12
+
+    def test_integer_corpus(self):
+        rng = np.random.default_rng(20)
+        rows = rng.integers(-3, 4, (20000, 6)).astype(float)
+        mats = [SymMat3(*row) for row in rows.tolist()]
+        ref = np.linalg.eigvalsh(np.stack([m.to_array() for m in mats]))
+        for a, want in zip(mats, ref):
+            dec = diagonalize3(a)
+            assert residuals(a, dec)[0] <= 1e-10, a
+            got = np.sort(dec.lambdas)
+            assert np.max(np.abs(got - want)) <= 1e-12 * a.scale(), a
+
+    @pytest.mark.parametrize("p11, p12", [
+        (0.5 * math.pi - 1e-9, -0.5 * math.pi + 1e-9),
+        (-0.5 * math.pi + 1e-9, 0.5 * math.pi - 1e-9),
+        (2.0, 2.0 - math.pi),
+    ])
+    def test_assemble_flips_by_the_routed_phi1(self, p11, p12):
+        # n2 > n1 routes phi1 through p12; the angles must span the
+        # eigenvectors of the full angle p11 with the unflipped signs
+        angles, signs = eig3._assemble_angles(1.0, 2.0, p11, p12,
+                                              1, -1, 0.4, 0.7)
+        assert signs == (-1, 1)
+        assert angles.as_tuple() == (p12, -0.4, 0.7)
+        lams = np.array([3.0, 1.0, 2.0])
+        got, want = (compose_rotation(angles),
+                     compose_rotation((p11, 0.4, -0.7)))
+        np.testing.assert_allclose((got * lams) @ got.T,
+                                   (want * lams) @ want.T, atol=1e-8)
 
 
 class TestDoubleRootFlag:

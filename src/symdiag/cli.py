@@ -16,6 +16,7 @@ returns for a real array.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,10 @@ def cmd_bench(out_stream, n, seed):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``symdiag`` argument parser, built on first use and then reused:
+    building it costs about as much as solving several records."""
     parser = argparse.ArgumentParser(
         prog="symdiag",
         description="Closed-form diagonalization of 2x2/3x3 real symmetric "

@@ -526,6 +526,7 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
     conditioning corners (an angle within rounding distance of 0 or pi/2)
     can leave a few orders of magnitude on the table; one or two quadratic
     steps recover them.  Returns the improved angles and absolute residual.
+    diagonalize3 calls it on Generic and AlreadyDiagonal2D results only.
 
     Everything is computed on the six unique entries of symmetric 3x3
     matrices, in floats.  The residual norm is the Frobenius norm, so the
@@ -620,6 +621,12 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     Classifies into triple-root, double-root and generic branches from the
     cubic invariants; a generic-branch failure (both f-vectors zero, or an
     eigenvalue gap below tolerance) reroutes to the double-root handling.
+    A Generic or AlreadyDiagonal2D result whose relative residual exceeds
+    1e-12 goes through _polish_angles, and the polished angles are kept
+    when they lower it.  DoubleRoot and TripleRoot results are returned
+    unpolished, because no rotation lowers their residual: a DoubleRoot
+    residual comes from averaging the two closest roots, and D . lam I .
+    D^T = lam I leaves a TripleRoot residual to the eigenvalue alone.
     """
     coeffs = char_coeffs(a)
     pq = compute_pq(coeffs)
@@ -655,7 +662,8 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
 
     d = compose_rotation(angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)
-    if recon_res > 1e-12:
+    if recon_res > 1e-12 and (branch is Branch.GENERIC
+                              or branch is Branch.ALREADY_DIAGONAL_2D):
         polished, abs_res = _polish_angles(a, lambdas, angles, scale)
         if abs_res / scale < recon_res:
             angles = polished

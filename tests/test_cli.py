@@ -390,6 +390,24 @@ class TestMainEntry:
     def test_bench_rejects_n_zero(self, capsys):
         assert main(["bench", "--n", "0", "--seed", "1"]) == 2
 
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch,
+                                             capsys):
+        # a stream solved in chunks calls main per chunk; one call's
+        # arguments must not leak into the next through the shared parser
+        main(["verify", "--input", str(GOLDEN_INPUT), "--tol", "1e-9"])
+
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_new_parser)
+        out_path = tmp_path / "out.jsonl"
+        assert main(["solve", "--input", str(GOLDEN_INPUT),
+                     "--output", str(out_path)]) == 0
+        assert out_path.read_text() == GOLDEN_EXPECTED.read_text()
+        args = cli.build_parser().parse_args(["solve"])
+        assert (args.input, args.output) == ("-", "-")
+        assert not hasattr(args, "tol")
+
 
 class TestGoldenCorpus:
     def test_byte_identical_to_frozen_output(self):

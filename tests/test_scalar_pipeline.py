@@ -16,6 +16,7 @@ import pytest
 
 from symdiag import (
     Angles3,
+    Branch,
     SymMat2,
     SymMat3,
     compose_rotation,
@@ -210,8 +211,49 @@ def test_spd_solve():
                        1.0, 1.0, 1.0) is None
 
 
-def recorded_polish_calls(monkeypatch, rows):
-    """The arguments of every polish diagonalize3 makes on ``rows``."""
+def double_root_polish_args(rows):
+    """(a, lambdas, angles, scale) for each DoubleRoot result on ``rows``
+    whose relative residual exceeds 1e-12: the repeated pair from
+    _double_root_lambdas and degenerate_double's angles, which diagonalize3
+    returns unpolished."""
+    args = []
+    for row in rows:
+        a = SymMat3(*row)
+        dec = diagonalize3(a)
+        if (dec.branch is Branch.DOUBLE_ROOT
+                and dec.report.recon_residual > 1e-12):
+            args.append((a, dec.lambdas, dec.angles, a.scale()))
+    return args
+
+
+def test_float_polish_no_worse_than_numpy_polish():
+    calls = double_root_polish_args(
+        clustered_rows(12_000, 209, gaps=(0.0, 1e-9)))
+    assert len(calls) >= 5000
+    for a, lambdas, angles, scale in calls:
+        _, res = _polish_angles(a, lambdas, angles, scale)
+        ref = numpy_polish(a.to_array(), lambdas, angles, scale)
+        assert res <= 1.05 * ref + 1e-15 * scale
+
+
+def triple_root_rows(n, seed):
+    """Q . diag(lam, lam + e, lam + 2e) . Q^T with e = 1e-12 * scale: inside
+    the triple-root threshold, with a residual of about 1.4e-12."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n, 6))
+    for i in range(n):
+        lam = rng.uniform(-3.0, 3.0)
+        e = 1e-12 * max(1.0, math.sqrt(3.0) * abs(lam))
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = (q * np.array([lam, lam + e, lam + 2.0 * e])) @ q.T
+        m = 0.5 * (m + m.T)
+        rows[i] = (m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
+    return rows
+
+
+def test_polish_runs_on_generic_results_only(monkeypatch):
+    # no rotation lowers a DoubleRoot residual (set by the averaged pair)
+    # or a TripleRoot one (D . lam I . D^T = lam I), so neither is polished
     calls = []
 
     def spy(*args):
@@ -219,20 +261,24 @@ def recorded_polish_calls(monkeypatch, rows):
         return _polish_angles(*args)
 
     monkeypatch.setattr(symdiag.eig3, "_polish_angles", spy)
-    for row in rows:
-        diagonalize3(SymMat3(*row))
-    monkeypatch.undo()
-    return calls
+    gaps = (0.0, 1e-9)
+    bounds = {0.0: 1e-8, 1e-9: 1e-6}   # criterion 4 (a) and (c)
+    for i, row in enumerate(clustered_rows(4000, 211, gaps)):
+        dec = diagonalize3(SymMat3(*row))
+        assert dec.branch is Branch.DOUBLE_ROOT
+        assert dec.report.recon_residual <= bounds[gaps[i % 2]]
+    residual_triples = 0
+    for row in triple_root_rows(1000, 212):
+        dec = diagonalize3(SymMat3(*row))
+        if dec.branch is Branch.TRIPLE_ROOT:
+            residual_triples += dec.report.recon_residual > 1e-12
+    assert residual_triples >= 100
+    assert not calls
 
-
-def test_float_polish_no_worse_than_numpy_polish(monkeypatch):
-    calls = recorded_polish_calls(
-        monkeypatch, clustered_rows(12_000, 209, gaps=(0.0, 1e-9)))
-    assert len(calls) >= 5000
-    for a, lambdas, angles, scale in calls:
-        _, res = _polish_angles(a, lambdas, angles, scale)
-        ref = numpy_polish(a.to_array(), lambdas, angles, scale)
-        assert res <= 1.05 * ref + 1e-15 * scale
+    dec = diagonalize3(SymMat3(*POLISH_WRAP))
+    assert dec.branch is Branch.GENERIC
+    assert len(calls) >= 1
+    assert dec.report.recon_residual <= 1e-10
 
 
 def test_near_double_within_criterion_4c_bounds():

@@ -51,8 +51,9 @@ class TestJacobi:
 
     def test_matches_numpy_eigh(self):
         rng = np.random.default_rng(51)
-        for _ in range(300):
-            m = random_sym3(rng)
+        mats = [random_sym3(rng) for _ in range(300)]
+        mats += [random_sym2(rng) for _ in range(300)]
+        for m in mats:
             res = jacobi_eigen(m)
             ref = np.linalg.eigvalsh(m.to_array())
             assert np.max(np.abs(np.sort(res.eigenvalues) - ref)) < 1e-12
@@ -88,6 +89,11 @@ class TestJacobi:
             assert (big.eigenvalues.tobytes()
                     == np.ldexp(small.eigenvalues, 600).tobytes())
             assert big.eigenvectors.tobytes() == small.eigenvectors.tobytes()
+
+    def test_rejects_other_shapes(self):
+        for shape in ((1, 1), (4, 4), (2, 3)):
+            with pytest.raises(ValueError, match="2x2 or 3x3"):
+                jacobi_eigen(np.eye(*shape))
 
     def test_tol_validation(self):
         for tol in (0.0, -1e-13, math.nan, math.inf):

@@ -9,14 +9,17 @@ Input records are one JSON object per line with keys a11, a22, a12 for a
 streams: each line is parsed, solved and written before the next is read.
 All floats are serialized as ``"%.17g" % x``, the bytes of
 ``format(float(x), ".17g")``, so output is byte-reproducible.  The
-residuals in each result come from ``oracle.residuals``, whose norms are
-sqrt(x . x) over the flattened difference: bitwise what ``np.linalg.norm``
-returns for a real array.
+residuals in each result come from ``oracle.residuals``, which evaluates
+them on Python floats in a fixed order, with no BLAS call, so their bytes
+do not depend on the BLAS kernel numpy picks for the CPU.  Result records
+are written by one ``%``-template per dimension; every other record by
+``_dumps``, and both give the same bytes for a result.
 """
 
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -53,6 +56,38 @@ def _dumps(obj):
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join([_dumps(v) for v in obj]) + "]"
     return _encode(obj)
+
+
+# _dumps(result) for a solve_record result, in its key order: id, the
+# floats of eigenvalues through eigenvectors, branch, the residuals.
+_RESULT_TEMPLATE = {
+    3: ('{"id": %s, "dim": 3, "eigenvalues": [%.17g, %.17g, %.17g], '
+        '"eigenvalues_sorted": [%.17g, %.17g, %.17g], '
+        '"angles": [%.17g, %.17g, %.17g], '
+        '"euler_angles": [%.17g, %.17g, %.17g], '
+        '"eigenvectors": [[%.17g, %.17g, %.17g], [%.17g, %.17g, %.17g], '
+        '[%.17g, %.17g, %.17g]], '
+        '"branch": %s, "residuals": {"recon_rel": %.17g, '
+        '"ortho": %.17g, "max_eigvec_res": %.17g}}'),
+    2: ('{"id": %s, "dim": 2, "eigenvalues": [%.17g, %.17g], '
+        '"eigenvalues_sorted": [%.17g, %.17g], "angles": [%.17g], '
+        '"euler_angles": [%.17g], '
+        '"eigenvectors": [[%.17g, %.17g], [%.17g, %.17g]], '
+        '"branch": %s, "residuals": {"recon_rel": %.17g, '
+        '"ortho": %.17g, "max_eigvec_res": %.17g}}'),
+}
+
+
+def _dump_result(result):
+    """``_dumps(result)`` for a ResultRecord from ``solve_record``, without
+    walking it: one template per dimension, a %.17g slot per float."""
+    res = result["residuals"]
+    return _RESULT_TEMPLATE[result["dim"]] % (
+        _encode(result["id"]), *result["eigenvalues"],
+        *result["eigenvalues_sorted"], *result["angles"],
+        *result["euler_angles"], *itertools.chain(*result["eigenvectors"]),
+        _encode(result["branch"]), res["recon_rel"], res["ortho"],
+        res["max_eigvec_res"])
 
 
 def parse_record(line):
@@ -136,17 +171,19 @@ def cmd_solve(in_stream, out_stream):
         try:
             rec_id, dim, mat = parse_record(line)
         except ParseError as e:
-            result = {"id": None, "error": str(e)}
+            text = _dumps({"id": None, "error": str(e)})
             n_fail += 1
         else:
             try:
                 result, _ = solve_record(rec_id, dim, mat)
-                n_ok += 1
             except (ArithmeticError, ValueError) as e:
-                result = {"id": rec_id,
-                          "error": f"solver error: {type(e).__name__}: {e}"}
+                text = _dumps({"id": rec_id, "error": f"solver error: "
+                               f"{type(e).__name__}: {e}"})
                 n_fail += 1
-        out_stream.write(_dumps(result) + "\n")
+            else:
+                text = _dump_result(result)
+                n_ok += 1
+        out_stream.write(text + "\n")
     return 0 if n_ok > 0 or n_fail == 0 else 2
 
 
@@ -179,8 +216,8 @@ def cmd_verify(in_stream, out_stream, tol):
             n_errors += 1
             continue
         jac = jacobi_eigen(mat)
-        dev = float(np.max(np.abs(
-            np.sort(jac.eigenvalues) - np.sort(result["eigenvalues"]))))
+        dev = max(abs(x - y) for x, y in zip(
+            sorted(jac.eigenvalues.tolist()), sorted(result["eigenvalues"])))
         recon = result["residuals"]["recon_rel"]
         max_dev = max(max_dev, dev)
         max_recon = max(max_recon, recon)

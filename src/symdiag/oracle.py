@@ -194,35 +194,82 @@ def reconstruct(d, lambdas):
     return d @ np.diag(lambdas) @ d.T
 
 
-_EYE = {2: np.eye(2), 3: np.eye(3)}
+def _sym_norm3(e11, e22, e33, e12, e13, e23):
+    """Frobenius norm of a symmetric 3x3 from its six unique entries."""
+    return math.sqrt(e11 * e11 + e22 * e22 + e33 * e33
+                     + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23))
 
 
-def _norm(x):
-    """``float(np.linalg.norm(x))`` for a real array, without its argument
-    handling: numpy computes the 2-/Frobenius norm as sqrt(x.ravel() .
-    x.ravel()), and both square roots are correctly rounded."""
-    x = x.ravel()
-    return math.sqrt(x.dot(x))
+def _sym_norm2(e11, e22, e12):
+    """Frobenius norm of a symmetric 2x2 from its three unique entries."""
+    return math.sqrt(e11 * e11 + e22 * e22 + 2.0 * (e12 * e12))
+
+
+def _eigvec_res3(a, x, y, z, lam):
+    """||A v - lam v|| for the column v = (x, y, z)."""
+    a11, a22, a33, a12, a13, a23 = a
+    return math.sqrt((a11 * x + a12 * y + a13 * z - lam * x) ** 2
+                     + (a12 * x + a22 * y + a23 * z - lam * y) ** 2
+                     + (a13 * x + a23 * y + a33 * z - lam * z) ** 2)
+
+
+def _eigvec_res2(a, x, y, lam):
+    """||A v - lam v|| for the column v = (x, y)."""
+    a11, a22, a12 = a
+    return math.sqrt((a11 * x + a12 * y - lam * x) ** 2
+                     + (a12 * x + a22 * y - lam * y) ** 2)
 
 
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
-    Works for both EigenDecomp2 and EigenDecomp3.  Every value is bitwise
-    what ``np.linalg.norm`` of the same difference gives: ``d * lambdas``
-    equals ``d @ np.diag(lambdas)`` up to the sign of zeros, which the
-    squares in the norm remove.
+    Works for both EigenDecomp2 and EigenDecomp3, on Python floats: d
+    comes out of ``dec.d.tolist()`` and A from the fields of the SymMat.
+    recon_rel is ||D diag(lambdas) D^T - A||_F / scale and ortho is
+    ||D^T D - I||_F.  Both differences are symmetric, so each norm sums
+    the squares of its six (3x3) or three (2x2) unique entries with the
+    off-diagonal ones weighted by 2; every entry is a left-to-right sum
+    over k of (d_ik lambda_k) d_jk, or of d_ki d_kj, less a_ij or the
+    identity.  Eigenvector residual i is ||A d_i - lambda_i d_i|| / scale,
+    each component ((a_j1 x_1 + a_j2 x_2) + a_j3 x_3) - lambda_i x_j for
+    the column x = d_i.  No BLAS call is made, so the bits do not depend
+    on which kernel numpy's BLAS picks for the CPU (its dot products may
+    fuse and reorder), and the cost is float arithmetic only.
     """
-    m = a.to_array()
     scale = a.scale()
-    if hasattr(dec, "lambda3"):
-        lambdas = (dec.lambda1, dec.lambda2, dec.lambda3)
-    else:
-        lambdas = (dec.lambda1, dec.lambda2)
-    d = dec.d
-    recon_rel = _norm((d * lambdas) @ d.T - m) / scale
-    ortho = _norm(d.T @ d - _EYE[len(lambdas)])
-    # One mat-vec per column: the fused m @ d - d * lambdas rounds differently.
-    eigvec_res = [_norm(m @ d[:, i] - lam * d[:, i]) / scale
-                  for i, lam in enumerate(lambdas)]
-    return recon_rel, ortho, eigvec_res
+    d = dec.d.tolist()
+    if len(d) == 2:
+        (d11, d12), (d21, d22) = d
+        l1, l2 = dec.lambda1, dec.lambda2
+        p11, p12, p21, p22 = d11 * l1, d12 * l2, d21 * l1, d22 * l2
+        recon = _sym_norm2(p11 * d11 + p12 * d12 - a.a11,
+                           p21 * d21 + p22 * d22 - a.a22,
+                           p11 * d21 + p12 * d22 - a.a12)
+        ortho = _sym_norm2(d11 * d11 + d21 * d21 - 1.0,
+                           d12 * d12 + d22 * d22 - 1.0,
+                           d11 * d12 + d21 * d22)
+        eigvec = [_eigvec_res2(a, d11, d21, l1) / scale,
+                  _eigvec_res2(a, d12, d22, l2) / scale]
+        return recon / scale, ortho, eigvec
+    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d
+    l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
+    # the rows of D diag(lambdas)
+    p11, p12, p13 = d11 * l1, d12 * l2, d13 * l3
+    p21, p22, p23 = d21 * l1, d22 * l2, d23 * l3
+    p31, p32, p33 = d31 * l1, d32 * l2, d33 * l3
+    recon = _sym_norm3(p11 * d11 + p12 * d12 + p13 * d13 - a.a11,
+                       p21 * d21 + p22 * d22 + p23 * d23 - a.a22,
+                       p31 * d31 + p32 * d32 + p33 * d33 - a.a33,
+                       p11 * d21 + p12 * d22 + p13 * d23 - a.a12,
+                       p11 * d31 + p12 * d32 + p13 * d33 - a.a13,
+                       p21 * d31 + p22 * d32 + p23 * d33 - a.a23)
+    ortho = _sym_norm3(d11 * d11 + d21 * d21 + d31 * d31 - 1.0,
+                       d12 * d12 + d22 * d22 + d32 * d32 - 1.0,
+                       d13 * d13 + d23 * d23 + d33 * d33 - 1.0,
+                       d11 * d12 + d21 * d22 + d31 * d32,
+                       d11 * d13 + d21 * d23 + d31 * d33,
+                       d12 * d13 + d22 * d23 + d32 * d33)
+    eigvec = [_eigvec_res3(a, d11, d21, d31, l1) / scale,
+              _eigvec_res3(a, d12, d22, d32, l2) / scale,
+              _eigvec_res3(a, d13, d23, d33, l3) / scale]
+    return recon / scale, ortho, eigvec

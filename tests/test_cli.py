@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdiag import EigenDecomp3, cli
+from symdiag import EigenDecomp3, SymMat2, SymMat3, cli
 from symdiag.cli import (
     ParseError,
+    _dump_result,
     _dumps,
     cmd_bench,
     cmd_solve,
@@ -147,9 +148,18 @@ class TestDumps:
         mats += [(3, clustered_sym3(rng, (0.0, 1e-9)[i % 2]))
                  for i in range(400)]
         mats += [(3, structured_sym3(rng)) for _ in range(300)]
-        for i, (dim, m) in enumerate(mats):
-            result, _ = solve_record(f"\u00fc{i}", dim, m)
-            assert _dumps(result) == recursive_dumps(result), m
+        records = [(f"\u00fc{i}", dim, m) for i, (dim, m) in enumerate(mats)]
+        # a null id with -0 entries in both dimensions, a non-ASCII id
+        records += [(None, 3, SymMat3(-0.0, 1.0, 2.0, -0.0, 0.0, 0.5)),
+                    (None, 2, SymMat2(-0.0, -0.0, -0.0)),
+                    ("\u4e2d\u6587 \"q\"\n", 3, SymMat3(*range(6)))]
+        texts = []
+        for rec_id, dim, m in records:
+            result, _ = solve_record(rec_id, dim, m)
+            texts.append(_dumps(result))
+            assert texts[-1] == recursive_dumps(result), m
+            assert _dump_result(result) == texts[-1], m
+        assert texts[-2].startswith('{"id": null') and ", -0" in texts[-2]
 
 
 class TestSolveRecord:

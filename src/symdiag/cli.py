@@ -9,9 +9,10 @@ Input records are one JSON object per line with keys a11, a22, a12 for a
 streams: each line is parsed, solved and written before the next is read.
 All floats are serialized as ``"%.17g" % x``, the bytes of
 ``format(float(x), ".17g")``, so output is byte-reproducible.  The
-residuals in each result come from ``oracle.residuals``, which evaluates
-them on Python floats in a fixed order, with no BLAS call, so their bytes
-do not depend on the BLAS kernel numpy picks for the CPU.  Result records
+eigenvectors are ``compose_rotation``'s fixed-order float product and the
+residuals come from ``oracle.residuals``, which evaluates them on Python
+floats in a fixed order; neither makes a BLAS call, so no byte of a result
+depends on the BLAS kernel numpy picks for the CPU.  Result records
 are written by one ``%``-template per dimension; every other record by
 ``_dumps``, and both give the same bytes for a result.
 """

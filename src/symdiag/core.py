@@ -273,8 +273,9 @@ class EigenDecomp3(_Decomp):
 
     Eigenvalues are reported in the order the angle equations assume (the
     cubic-solution order, possibly permuted so a repeated pair comes first);
-    they are deliberately not sorted.  d equals
-    rot3x(phi1) . rot3y(phi2) . rot3z(phi3) by construction.
+    they are deliberately not sorted.  d is compose_rotation(angles): a
+    fixed-order float product, at most 1.1e-16 per entry from numpy's
+    matrix product and independent of the BLAS kernel.
     """
 
     __slots__ = ("lambda1", "lambda2", "lambda3", "angles", "d", "branch",
@@ -324,21 +325,27 @@ def rot3z(phi3):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def compose_rotation(angles):
-    """Product rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in exactly that order.
+def rotation_entries(phi1, phi2, phi3):
+    """rot3x(phi1) . rot3y(phi2) . rot3z(phi3) as nine floats, row by row:
+    the one D behind compose_rotation and the polish.  Each entry is summed
+    in plain floats, without FMA; "+ 0.0" gives the +0 a matrix product
+    sums to where an entry is -0."""
+    c1, s1 = math.cos(phi1), math.sin(phi1)
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    c3, s3 = math.cos(phi3), math.sin(phi3)
+    s1s2, c1s2 = s1 * s2, c1 * s2
+    return (c2 * c3 + 0.0, -c2 * s3 + 0.0, s2 + 0.0,
+            s1s2 * c3 + c1 * s3 + 0.0, c1 * c3 - s1s2 * s3 + 0.0,
+            -s1 * c2 + 0.0,
+            s1 * s3 - c1s2 * c3 + 0.0, c1s2 * s3 + s1 * c3 + 0.0,
+            c1 * c2 + 0.0)
 
-    Every entry of rot3x . rot3y is a single product plus exact zeros, so it
-    is written out; the "+ 0.0" gives the +0 a matrix product sums to where
-    that single product is -0.  The result is bitwise that of the two
-    matrix products.
-    """
-    p1, p2, p3 = angles
-    c1, s1 = math.cos(p1), math.sin(p1)
-    c2, s2 = math.cos(p2), math.sin(p2)
-    xy = np.array([[c2, 0.0, s2 + 0.0],
-                   [s1 * s2 + 0.0, c1, -s1 * c2 + 0.0],
-                   [-c1 * s2 + 0.0, s1 + 0.0, c1 * c2]])
-    return xy @ rot3z(p3)
+
+def compose_rotation(angles):
+    """Product rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in exactly that order:
+    rotation_entries as a 3x3 array, at most 1.1e-16 per entry from numpy's
+    matrix product and, unlike it, independent of the BLAS kernel."""
+    return np.array(rotation_entries(*angles)).reshape(3, 3)
 
 
 def angle_of(r):

@@ -31,6 +31,7 @@ from .core import (
     SolveReport,
     SymMat3,
     compose_rotation,
+    rotation_entries,
     wrap_half_pi,
     wrapped_diff_mod_pi,
 )
@@ -346,16 +347,16 @@ def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     return Angles3(phi1, s2 * phi2_mag, s3 * phi3_mag), (s2, s3)
 
 
-def resolve_signs(a: SymMat3, lambdas, v, w):
+def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     """Select the signs of phi2 and phi3 and recover phi1.
 
     Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
     scored: D is invariant under (phi1 + pi, -phi2, -phi3), and
     _assemble_angles flips to that twin by _half_turn_apart.
     Both f-vectors zero means the matrix is diagonal with a repeated entry
-    and must go to the double-root branch.
+    and must go to the double-root branch.  scale is a.scale().
     """
-    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = _f_route(a, a.scale())
+    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
     if n1 <= tol_f and n2 <= tol_f:
         raise BothFVectorsZero("matrix is diagonal with two equal entries")
 
@@ -461,17 +462,6 @@ def degenerate_double(a: SymMat3, lam, lam3):
     return angles, report
 
 
-def _rotation_rows(phi1, phi2, phi3):
-    """Rows of rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in floats."""
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    c2, s2 = math.cos(phi2), math.sin(phi2)
-    c3, s3 = math.cos(phi3), math.sin(phi3)
-    s1s2, c1s2 = s1 * s2, c1 * s2
-    return ((c2 * c3, -c2 * s3, s2),
-            (s1s2 * c3 + c1 * s3, c1 * c3 - s1s2 * s3, -s1 * c2),
-            (s1 * s3 - c1s2 * c3, c1s2 * s3 + s1 * c3, c1 * c2))
-
-
 def _jacobian6(phi1, phi2, rec):
     """The columns dM/dphi_k, k = 1, 2, 3, of M = D . diag(lambdas) . D^T.
 
@@ -539,7 +529,7 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
     the best angles so far are returned.
     """
     p = angles
-    rec = _reconstruct6(_rotation_rows(*p), lambdas)
+    rec = _reconstruct6(rotation_entries(*p), lambdas)
     r = _residual6(rec, a)
     best_res, best = math.sqrt(_dot6(r, r)), p
     damp = 1e-14 * scale * scale
@@ -552,7 +542,7 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
         if step is None:
             break
         p = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
-        rec = _reconstruct6(_rotation_rows(*p), lambdas)
+        rec = _reconstruct6(rotation_entries(*p), lambdas)
         r = _residual6(rec, a)
         res = math.sqrt(_dot6(r, r))
         if res < best_res:
@@ -582,8 +572,8 @@ def _double_root_lambdas(lambdas):
 
 def _reconstruct6(d, lambdas):
     """The entries (11, 22, 33, 12, 13, 23) of D . diag(lambdas) . D^T,
-    from the rows of D."""
-    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d
+    from the nine entries of D, row by row."""
+    d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
     l1, l2, l3 = lambdas
     e11, e12, e13 = d11 * l1, d12 * l2, d13 * l3
     e21, e22, e23 = d21 * l1, d22 * l2, d23 * l3
@@ -611,7 +601,7 @@ def _dot6(x, y):
 
 def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
     """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries."""
-    r = _residual6(_reconstruct6(d.tolist(), lambdas), a)
+    r = _residual6(_reconstruct6(d.ravel().tolist(), lambdas), a)
     return math.sqrt(_dot6(r, r)) / scale
 
 
@@ -646,7 +636,7 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             try:
                 v = compute_v(a, lambdas)
                 w = compute_w(a, lambdas, v)
-                angles, report = resolve_signs(a, lambdas, v, w)
+                angles, report = resolve_signs(a, lambdas, v, w, scale)
                 if (report.f1_norm <= F_ZERO_EPS * scale
                         or report.f2_norm <= F_ZERO_EPS * scale):
                     branch = Branch.ALREADY_DIAGONAL_2D

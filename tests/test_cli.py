@@ -446,6 +446,27 @@ class TestGoldenCorpus:
         assert sum(r["dim"] == 2 for r in results) >= 3
 
 
+class TestBlasKernel:
+    def test_solve_bytes_same_under_every_openblas_kernel(self):
+        """Eigenvectors and residuals are plain-float arithmetic, so
+        ``symdiag solve`` prints the same bytes whichever kernel OpenBLAS
+        runs: the one it picks for the CPU, or one forced through
+        OPENBLAS_CORETYPE."""
+        outs = {}
+        for core in (None, "Haswell", "Zen", "Nehalem", "Sandybridge"):
+            env = dict(os.environ, PYTHONPATH=str(SRC))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
+            outs[core] = subprocess.run(
+                [sys.executable, "-m", "symdiag.cli", "solve",
+                 "--input", str(INTEGER_INPUT)], env=env,
+                capture_output=True, timeout=120, check=True).stdout
+        assert outs[None].count(b"\n") == 300
+        for core, out in outs.items():
+            assert out == outs[None], core
+
+
 class TestColdStart:
     def test_import_loads_numpy_and_the_stdlib_only(self):
         """A fresh ``import symdiag, symdiag.cli`` must not pull in scipy,

@@ -254,11 +254,19 @@ class TestTwinScoringPin:
     def test_matches_scoring_every_combination(self, monkeypatch):
         mats = self.corpus()
         got = [diagonalize3(a) for a in mats]
-        monkeypatch.setattr(
-            eig3, "_select_signs",
-            lambda *args: _four_combo_select(
-                ((1, 1), (1, -1), (-1, 1), (-1, -1)), *args))
-        monkeypatch.setattr(eig3, "degenerate_double", _scored_double)
+        calls = {"select": 0, "double": 0}
+
+        def select(*args):
+            calls["select"] += 1
+            return _four_combo_select(
+                ((1, 1), (1, -1), (-1, 1), (-1, -1)), *args)
+
+        def double(*args):
+            calls["double"] += 1
+            return _scored_double(*args)
+
+        monkeypatch.setattr(eig3, "_select_signs", select)
+        monkeypatch.setattr(eig3, "degenerate_double", double)
         seen = {"near_tie": 0, "second": 0, "double": 0}
         for a, dec in zip(mats, got):
             ref = diagonalize3(a)
@@ -269,15 +277,18 @@ class TestTwinScoringPin:
             seen["near_tie"] += ref.report.near_tie
             seen["second"] += ref.report.selected_signs in ((1, -1), (-1, 1))
             seen["double"] += ref.branch is Branch.DOUBLE_ROOT
+        # both stand-ins ran, so the pin compared two different codes
+        assert min(calls.values()) > 0, calls
         # the corpus reaches near-ties, (+,-) winners and double roots
         assert min(seen.values()) >= 20, seen
 
 
-def _two_pass_resolve_signs(a, lambdas, v, w, seen):
+def _two_pass_resolve_signs(a, lambdas, v, w, scale, seen):
     """resolve_signs running both refinement passes whatever the angle
-    magnitudes; seen counts which magnitudes start outside [pi/8, 3pi/8]."""
-    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = eig3._f_route(
-        a, a.scale())
+    magnitudes; seen counts its calls and which magnitudes start outside
+    [pi/8, 3pi/8]."""
+    seen["calls"] += 1
+    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = eig3._f_route(a, scale)
     if n1 <= tol_f and n2 <= tol_f:
         raise eig3.BothFVectorsZero("matrix is diagonal with two equal entries")
     phi2_mag = math.acos(math.sqrt(eig3._clamp_unit(v, "v")))
@@ -354,19 +365,22 @@ class TestRefinementPassSkipPin:
     def test_matches_two_unconditional_passes(self, monkeypatch):
         mats = TestTwinScoringPin.corpus()
         got = [diagonalize3(a) for a in mats]
-        seen = dict.fromkeys(("middle", "phi2 only", "phi3 only", "both"), 0)
+        seen = dict.fromkeys(
+            ("calls", "middle", "phi2 only", "phi3 only", "both"), 0)
         monkeypatch.setattr(
             eig3, "resolve_signs",
-            lambda a, lambdas, v, w: _two_pass_resolve_signs(
-                a, lambdas, v, w, seen))
+            lambda a, lambdas, v, w, scale: _two_pass_resolve_signs(
+                a, lambdas, v, w, scale, seen))
         for a, dec in zip(mats, got):
             ref = diagonalize3(a)
             assert same_bits(dec.angles.as_tuple(), ref.angles.as_tuple()), a
             assert dec.d.tobytes() == ref.d.tobytes(), a
             assert dec.branch is ref.branch, a
             assert report_bits(dec.report) == report_bits(ref.report), a
-        # the corpus reaches a skipped first pass and each single-angle
+        # the stand-in ran, so the pin compared two different codes; the
+        # corpus reaches a skipped first pass and each single-angle
         # refinement, whose passes must still run
+        assert seen["calls"] > 0, seen
         assert min(seen["middle"], seen["phi2 only"],
                    seen["phi3 only"]) >= 20, seen
 

@@ -1,11 +1,11 @@
 """The 3x3 solver on plain Python floats.
 
 SymMat3 stores its components as Python floats, compose_rotation writes
-rot3x . rot3y out by hand, diagonalize3 computes its residual from the
-six unique entries, and the Gauss-Newton polish runs on floats.  These
-tests pin that each of those gives the same numbers as the numpy forms it
-replaces (the polish: within rounding), and that the self-reported
-residual describes the d actually returned.
+rot3x . rot3y . rot3z out in plain floats, diagonalize3 computes its
+residual from the six unique entries, and the Gauss-Newton polish runs on
+floats.  These tests pin that each of those gives the numbers of the numpy
+forms it replaces (D and the polish: within rounding), and that the
+self-reported residual describes the d actually returned.
 """
 
 import itertools
@@ -26,11 +26,11 @@ from symdiag import (
     rot3y,
     rot3z,
 )
+from symdiag.core import rotation_entries
 import symdiag.eig3
 from symdiag.eig3 import (
     _jacobian6,
     _polish_angles,
-    _rotation_rows,
     _solve_spd3,
 )
 
@@ -85,17 +85,65 @@ def test_numpy_scalar_and_float_inputs_bitwise_equal(rows):
         assert x.d.tobytes() == y.d.tobytes()
 
 
-def test_compose_rotation_bitwise_equals_matrix_product():
-    special = (0.0, -0.0, 1e-300, -5e-324, 0.3, -0.3, 0.5 * math.pi,
-               -0.5 * math.pi, math.pi, -math.pi, 2.5, -2.5, 7.0)
-    triples = list(itertools.product(special, repeat=3))
+SPECIAL_ANGLES = (0.0, -0.0, 1e-300, -5e-324, 0.3, -0.3, 0.5 * math.pi,
+                  -0.5 * math.pi, math.pi, -math.pi, 2.5, -2.5, 7.0)
+# In these grid triples one entry sums +0 and a negative product too small
+# for a subnormal.  An FMA rounds that exact sum to -0; plain floats round
+# the product to -0 first, and -0 + 0 is +0.  So the entry's sign differs
+# from numpy's under FMA kernels such as SkylakeX's and agrees under others.
+SUBNORMAL_ZERO_TRIPLES = (
+    (0.5 * math.pi, 0.0, -5e-324),
+    (0.5 * math.pi, -0.0, -5e-324),
+    (math.pi, 0.0, -5e-324),
+    (math.pi, -0.0, -5e-324),
+    (2.5, -5e-324, -5e-324),
+    (-2.5, -5e-324, -5e-324),
+)
+
+
+@pytest.fixture(scope="module")
+def angle_triples():
+    """The special-value grid, then uniform triples in [-2 pi, 2 pi]."""
+    triples = list(itertools.product(SPECIAL_ANGLES, repeat=3))
     rng = np.random.default_rng(204)
-    triples += [tuple(t) for t in
-                rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist()]
-    for p1, p2, p3 in triples:
-        expected = rot3x(p1) @ rot3y(p2) @ rot3z(p3)
+    return triples + [tuple(t) for t in rng.uniform(
+        -2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist()]
+
+
+def float_product(*factors):
+    """The matrix product of the factors, left to right, each entry summed
+    left to right over k in plain floats, and + 0.0 at the end."""
+    m = factors[0].tolist()
+    for f in factors[1:]:
+        f = f.tolist()
+        m = [[sum(m[i][k] * f[k][j] for k in range(3)) for j in range(3)]
+             for i in range(3)]
+    return np.array(m) + 0.0
+
+
+def test_compose_rotation_bitwise_equals_the_float_product(angle_triples):
+    for p1, p2, p3 in angle_triples:
+        want = float_product(rot3x(p1), rot3y(p2), rot3z(p3))
         # tobytes distinguishes +0 from -0
-        assert compose_rotation((p1, p2, p3)).tobytes() == expected.tobytes()
+        assert compose_rotation((p1, p2, p3)).tobytes() == want.tobytes()
+
+
+def test_compose_rotation_within_4e16_of_matrix_product(angle_triples):
+    for p1, p2, p3 in angle_triples:
+        want = rot3x(p1) @ rot3y(p2) @ rot3z(p3)
+        assert np.max(np.abs(compose_rotation((p1, p2, p3)) - want)) <= 4e-16
+
+
+def test_compose_rotation_signed_zeros_match_matrix_product(angle_triples):
+    differ = set()
+    for p in angle_triples:
+        want = rot3x(p[0]) @ rot3y(p[1]) @ rot3z(p[2])
+        got = compose_rotation(p)
+        zero = want == 0.0
+        if (np.signbit(got[zero]) != np.signbit(want[zero])).any():
+            differ.add(p)
+    assert differ <= set(SUBNORMAL_ZERO_TRIPLES), differ - set(
+        SUBNORMAL_ZERO_TRIPLES)
 
 
 def test_reported_residual_matches_oracle(rows):
@@ -168,10 +216,11 @@ def numpy_polish(a_arr, lambdas, angles, scale):
 
 
 def test_rotation_rows_match_compose_rotation():
+    # the polish's D is the D diagonalize3 returns, to the bit
     rng = np.random.default_rng(205)
     for p in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist():
-        rows = np.array(_rotation_rows(*p))
-        assert np.max(np.abs(rows - compose_rotation(p))) <= 4e-16
+        rows = np.array(rotation_entries(*p)).reshape(3, 3)
+        assert rows.tobytes() == compose_rotation(p).tobytes()
 
 
 def test_jacobian_columns_match_numpy_commutators():

@@ -9,12 +9,15 @@ Input records are one JSON object per line with keys a11, a22, a12 for a
 streams: each line is parsed, solved and written before the next is read.
 All floats are serialized as ``"%.17g" % x``, the bytes of
 ``format(float(x), ".17g")``, so output is byte-reproducible.  The
-eigenvectors are ``compose_rotation``'s fixed-order float product and the
+eigenvectors are the decomposition's ``d_entries``, the fixed-order float
+product ``rotation_entries`` (the entries of ``compose_rotation``), and the
 residuals come from ``oracle.residuals``, which evaluates them on Python
 floats in a fixed order; neither makes a BLAS call, so no byte of a result
-depends on the BLAS kernel numpy picks for the CPU.  Result records
-are written by one ``%``-template per dimension; every other record by
-``_dumps``, and both give the same bytes for a result.
+depends on the BLAS kernel numpy picks for the CPU.  ``solve`` builds no
+array and never imports numpy; ``verify`` (through the Jacobi oracle) and
+``bench`` import it on first use.  Result records are written by one
+``%``-template per dimension; every other record by ``_dumps``, and both
+give the same bytes for a result.
 """
 
 import argparse
@@ -25,8 +28,6 @@ import json
 import math
 import sys
 import time
-
-import numpy as np
 
 from .core import NonFiniteInput, SymMat2, SymMat3
 from .eig2 import diagonalize2
@@ -135,12 +136,16 @@ def solve_record(rec_id, dim, mat):
         eig = [dec.lambda1, dec.lambda2]
         angles = [dec.phi]
         euler = [dec.phi]
+        d11, d12, d21, d22 = dec.d_entries
+        columns = [[d11, d21], [d12, d22]]
         branch = None
     else:
         dec = diagonalize3(mat)
         eig = list(dec.lambdas)
         angles = list(dec.angles.as_tuple())
         euler = list(euler_angles(dec).as_tuple())
+        d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
+        columns = [[d11, d21, d31], [d12, d22, d32], [d13, d23, d33]]
         branch = dec.branch.value
     recon, ortho, eigvec = residuals(mat, dec)
     return {
@@ -150,7 +155,7 @@ def solve_record(rec_id, dim, mat):
         "eigenvalues_sorted": sorted(eig, reverse=True),
         "angles": angles,
         "euler_angles": euler,
-        "eigenvectors": dec.d.T.tolist(),
+        "eigenvectors": columns,
         "branch": branch,
         "residuals": {"recon_rel": recon, "ortho": ortho,
                       "max_eigvec_res": max(eigvec)},
@@ -239,6 +244,7 @@ def cmd_verify(in_stream, out_stream, tol):
 
 def random_symmetric_stream(n, seed):
     """Deterministic stream of SymMat3 with entries uniform in [-1, 1]."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     for _ in range(n):
         a11, a22, a33, a12, a13, a23 = rng.uniform(-1.0, 1.0, 6)
@@ -247,6 +253,7 @@ def random_symmetric_stream(n, seed):
 
 def cmd_bench(out_stream, n, seed):
     """Per-matrix latency of closed-form vs Jacobi on the same matrix stream."""
+    import numpy as np
     mats = list(random_symmetric_stream(n, seed))
 
     def time_loop(fn):

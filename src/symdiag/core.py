@@ -1,21 +1,23 @@
 """Shared value types and rotation-matrix constructors.
 
-Matrices are plain dense numpy arrays.  The symmetric inputs (SymMat2,
-SymMat3), the angle triple (Angles3) and the solve diagnostics
-(SolveReport) are named tuples, so they unpack, index, hash and compare as
-tuples do: SymMat3(3, 2, 1, 0, 0, 0) == (3.0, 2.0, 1.0, 0.0, 0.0, 0.0),
-and two of them with equal values compare equal whatever their types.
-The decomposition results (EigenDecomp2, EigenDecomp3) hold a numpy array;
-they are __slots__ records that compare field by field, leaving it out.
-Everything here is immutable after construction and safe to share between
-threads.
+The solver works on Python floats; numpy is imported only by what returns
+or takes an array (to_array, from_array, the rot* constructors,
+compose_rotation and a decomposition's d), on its first call.  The
+symmetric inputs (SymMat2, SymMat3), the angle triple (Angles3) and the
+solve diagnostics (SolveReport) are named tuples, so they unpack, index,
+hash and compare as tuples do: SymMat3(3, 2, 1, 0, 0, 0) == (3.0, 2.0,
+1.0, 0.0, 0.0, 0.0), and two of them with equal values compare equal
+whatever their types.  The decomposition results (EigenDecomp2,
+EigenDecomp3) are __slots__ records that compare field by field, leaving
+out D; they keep D as its float entries until d is read.  Everything here
+is immutable after construction and safe to share between threads, except
+that the first read of d stores the array it builds (building it twice
+gives equal arrays, and either is kept).
 """
 
 import enum
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 
 class NonFiniteInput(ValueError):
@@ -90,6 +92,7 @@ class SymMat2(_SymMat2):
     _make = classmethod(_checked_make)
 
     def to_array(self):
+        import numpy as np
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
     def fro_norm(self):
@@ -136,6 +139,7 @@ class SymMat3(_SymMat3):
     def from_array(cls, m):
         """The symmetric part of a 3x3 array; any other shape raises
         ValueError."""
+        import numpy as np
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"SymMat3.from_array needs a 3x3 array, "
@@ -146,6 +150,7 @@ class SymMat3(_SymMat3):
                    0.5 * (m[1, 2] + m[2, 1]))
 
     def to_array(self):
+        import numpy as np
         return np.array([[self.a11, self.a12, self.a13],
                          [self.a12, self.a22, self.a23],
                          [self.a13, self.a23, self.a33]])
@@ -217,17 +222,40 @@ class SolveReport(NamedTuple):
 class _Decomp:
     """Immutable __slots__ record: fields are set once, by __init__.
 
-    Equality and hashing use every field but d, the numpy factor; repr and
-    pickling use every field.
+    D is stored in the slot _d, either as the array it was given or as its
+    entries row by row, a tuple of floats, as the solvers hand it over.
+    The d property returns the array, building it from the entries on its
+    first read and keeping it; d_entries returns the floats.  Assigning d
+    raises, as for every field; object.__setattr__ sets it, as it sets any
+    field.  Equality and hashing use every field but d; repr uses every
+    field, pickling every field with D as stored.
     """
 
     __slots__ = ()
 
-    def _values(self):
-        return tuple(getattr(self, k) for k in self.__slots__)
+    def _get_d(self):
+        d = self._d
+        if type(d) is tuple:
+            import numpy as np
+            d = np.array(d).reshape(self._n, self._n)
+            object.__setattr__(self, "_d", d)
+        return d
+
+    def _set_d(self, d):
+        object.__setattr__(self, "_d", d)
+
+    d = property(_get_d, _set_d, doc="D as an n x n array: the one given, "
+                 "or the float64 array built from the entries.")
+
+    @property
+    def d_entries(self):
+        """D's entries row by row, as Python floats, without building the
+        array (from it, when d was given as one)."""
+        d = self._d
+        return d if type(d) is tuple else tuple(d.ravel().tolist())
 
     def _key(self):
-        return tuple(getattr(self, k) for k in self.__slots__ if k != "d")
+        return tuple(getattr(self, k) for k in self._fields if k != "d")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -245,27 +273,36 @@ class _Decomp:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            f"{k}={v!r}" for k, v in zip(self.__slots__, self._values())))
+            f"{k}={getattr(self, k)!r}" for k in self._fields))
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), tuple(getattr(self, "_d" if k == "d" else k)
+                                 for k in self._fields)
 
 
 class EigenDecomp2(_Decomp):
-    """Result of diagonalizing a SymMat2: A = D . diag(l1, l2) . D^T."""
+    """Result of diagonalizing a SymMat2: A = D . diag(l1, l2) . D^T.
 
-    __slots__ = ("lambda1", "lambda2", "phi", "d")
+    d may be given as a 2x2 array or as its entries row by row, a tuple of
+    four floats.
+    """
+
+    __slots__ = ("lambda1", "lambda2", "phi", "_d")
+    _fields = ("lambda1", "lambda2", "phi", "d")
+    _n = 2
 
     def __init__(self, lambda1, lambda2, phi, d):
         _set = object.__setattr__
         _set(self, "lambda1", lambda1)
         _set(self, "lambda2", lambda2)
         _set(self, "phi", phi)
-        _set(self, "d", d)
+        _set(self, "_d", d)
 
     @classmethod
     def from_angle(cls, lambda1, lambda2, phi):
-        return cls(lambda1, lambda2, phi, rot2(phi))
+        """The decomposition with D = rot2(phi), kept as its entries."""
+        c, s = math.cos(phi), math.sin(phi)
+        return cls(lambda1, lambda2, phi, (c, -s, s, c))
 
 
 class EigenDecomp3(_Decomp):
@@ -273,13 +310,18 @@ class EigenDecomp3(_Decomp):
 
     Eigenvalues are reported in the order the angle equations assume (the
     cubic-solution order, possibly permuted so a repeated pair comes first);
-    they are deliberately not sorted.  d is compose_rotation(angles): a
+    they are deliberately not sorted.  d may be given as a 3x3 array or as
+    its entries row by row, a tuple of nine floats; diagonalize3 gives
+    rotation_entries(*angles), so d equals compose_rotation(angles): a
     fixed-order float product, at most 1.1e-16 per entry from numpy's
     matrix product and independent of the BLAS kernel.
     """
 
-    __slots__ = ("lambda1", "lambda2", "lambda3", "angles", "d", "branch",
+    __slots__ = ("lambda1", "lambda2", "lambda3", "angles", "_d", "branch",
                  "report")
+    _fields = ("lambda1", "lambda2", "lambda3", "angles", "d", "branch",
+               "report")
+    _n = 3
 
     def __init__(self, lambda1, lambda2, lambda3, angles, d,
                  branch=Branch.GENERIC, report=SolveReport()):
@@ -288,7 +330,7 @@ class EigenDecomp3(_Decomp):
         _set(self, "lambda2", lambda2)
         _set(self, "lambda3", lambda3)
         _set(self, "angles", angles)
-        _set(self, "d", d)
+        _set(self, "_d", d)
         _set(self, "branch", branch)
         _set(self, "report", report)
 
@@ -303,24 +345,28 @@ class EigenDecomp3(_Decomp):
 
 def rot2(phi):
     """2-dimensional anti-clockwise rotation matrix."""
+    import numpy as np
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, -s], [s, c]])
 
 
 def rot3x(phi1):
     """Anti-clockwise rotation about the fixed axis e1."""
+    import numpy as np
     c, s = math.cos(phi1), math.sin(phi1)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def rot3y(phi2):
     """Anti-clockwise rotation about the fixed axis e2 (note +sin upper right)."""
+    import numpy as np
     c, s = math.cos(phi2), math.sin(phi2)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rot3z(phi3):
     """Anti-clockwise rotation about the fixed axis e3."""
+    import numpy as np
     c, s = math.cos(phi3), math.sin(phi3)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
@@ -345,6 +391,7 @@ def compose_rotation(angles):
     """Product rot3x(phi1) . rot3y(phi2) . rot3z(phi3), in exactly that order:
     rotation_entries as a 3x3 array, at most 1.1e-16 per entry from numpy's
     matrix product and, unlike it, independent of the BLAS kernel."""
+    import numpy as np
     return np.array(rotation_entries(*angles)).reshape(3, 3)
 
 

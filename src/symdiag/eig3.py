@@ -21,8 +21,9 @@ solution, or (repeated, repeated, distinct) on the double-root branch.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+# compose_rotation is not called here: diagonalize3 hands rotation_entries'
+# floats to EigenDecomp3.  It stays a name of this module, which the
+# benchmark's layer trace (perfbench/spans.py) patches.
 from .core import (
     AngleOfZeroVector,
     Angles3,
@@ -232,6 +233,7 @@ def _f_route(a: SymMat3, scale):
 
 def f_vectors(a: SymMat3):
     """The two entry-built 2-vectors used to recover phi1."""
+    import numpy as np
     f1, f2 = _f_route(a, a.scale())[:2]
     return np.array(f1), np.array(f2)
 
@@ -253,6 +255,7 @@ def _g_components(gap12, gap23, phi2, phi3, v, w):
 
 def g_vectors(lambdas, phi2, phi3, v, w):
     """The eigenvalue/angle-built 2-vectors: g1 = R(phi1) f1, g2 = R(2 phi1) f2."""
+    import numpy as np
     l1, l2, l3 = lambdas
     g1x, g1y, g2x, g2y = _g_components(l1 - l2, l2 - l3, phi2, phi3, v, w)
     return np.array([g1x, g1y]), np.array([g2x, g2y])
@@ -423,7 +426,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     return angles, report
 
 
-def degenerate_double(a: SymMat3, lam, lam3):
+def degenerate_double(a: SymMat3, lam, lam3, scale):
     """Angles for the double-root case lambda1 = lambda2 = lam.
 
     Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
@@ -431,9 +434,8 @@ def degenerate_double(a: SymMat3, lam, lam3):
     one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
     rule of _assemble_angles).  phi1 comes from the f/g routes, with the
     generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
-    v = cos(phi2)^2 and w = 1.
+    v = cos(phi2)^2 and w = 1.  scale is a.scale().
     """
-    scale = a.scale()
     if abs(lam - lam3) <= DEGENERATE_EPS * scale:
         raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
     # a near-double matrix legitimately pushes s outside [0, 1] by O(gap),
@@ -600,8 +602,9 @@ def _dot6(x, y):
 
 
 def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
-    """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries."""
-    r = _residual6(_reconstruct6(d.ravel().tolist(), lambdas), a)
+    """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries,
+    from the nine entries of D, row by row."""
+    r = _residual6(_reconstruct6(d, lambdas), a)
     return math.sqrt(_dot6(r, r)) / scale
 
 
@@ -647,17 +650,17 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         if branch is None:
             lam, lam3 = _double_root_lambdas(lambdas)
             lambdas = (lam, lam, lam3)
-            angles, report = degenerate_double(a, lam, lam3)
+            angles, report = degenerate_double(a, lam, lam3, scale)
             branch = Branch.DOUBLE_ROOT
 
-    d = compose_rotation(angles)
+    d = rotation_entries(*angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)
     if recon_res > 1e-12 and (branch is Branch.GENERIC
                               or branch is Branch.ALREADY_DIAGONAL_2D):
         polished, abs_res = _polish_angles(a, lambdas, angles, scale)
         if abs_res / scale < recon_res:
             angles = polished
-            d = compose_rotation(angles)
+            d = rotation_entries(*angles)
             # the residual of the d returned, not of the unwrapped polish
             recon_res = _reconstruction_residual(a, d, lambdas, scale)
     report = SolveReport(report.selected_signs, report.phi1_candidates,

@@ -3,17 +3,16 @@
 Nothing here shares a code path with the trigonometric formulas: the
 eigensolver is classical cyclic Jacobi, and the cubic roots come from
 bisection of brackets on the characteristic polynomial.  Both are written
-here on numpy and the standard library alone, so importing the package
-loads no other dependency.  Jacobi rotates the rows of a 2x2 or 3x3 held
-as Python floats, so its cost is its own arithmetic rather than numpy's
-per-call overhead, and it serves as the yardstick for the closed form's
-speed as well as its accuracy.
+here on the standard library and numpy alone, and numpy is imported by
+jacobi_eigen and reconstruct, which return arrays, on their first call:
+importing this module loads the standard library only.  Jacobi rotates the
+rows of a 2x2 or 3x3 held as Python floats, so its cost is its own
+arithmetic rather than numpy's per-call overhead, and it serves as the
+yardstick for the closed form's speed as well as its accuracy.
 """
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import SymMat2, SymMat3
 from .eig3 import CubicCoeffs
@@ -40,8 +39,8 @@ class ComplexRootsDetected(ValueError):
 
 
 class JacobiResult(NamedTuple):
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvalues: "numpy.ndarray"
+    eigenvectors: "numpy.ndarray"
     sweeps: int
     offdiag_final: float
 
@@ -60,6 +59,7 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
     frexp of that entry, so that ||A||_F^2 stays finite; the eigenvalues
     and the final off-diagonal norm are scaled back by 2^e, both exactly.
     """
+    import numpy as np
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     if isinstance(a, (SymMat2, SymMat3)):
@@ -188,6 +188,7 @@ def cubic_roots_reference(coeffs: CubicCoeffs):
 
 def reconstruct(d, lambdas):
     """D . diag(lambdas) . D^T for a decomposition candidate."""
+    import numpy as np
     d = np.asarray(d, dtype=float)
     if float(np.linalg.norm(d.T @ d - np.eye(d.shape[0]))) > 1e-10:
         raise ValueError("d is not orthogonal within 1e-10")
@@ -223,8 +224,10 @@ def _eigvec_res2(a, x, y, lam):
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
-    Works for both EigenDecomp2 and EigenDecomp3, on Python floats: d
-    comes out of ``dec.d.tolist()`` and A from the fields of the SymMat.
+    Works for both EigenDecomp2 and EigenDecomp3, on Python floats: D
+    comes from ``dec.d_entries`` (the floats the solver stored, or those of
+    the array the record was built with) and A from the fields of the
+    SymMat, so no array is built and numpy is not imported.
     recon_rel is ||D diag(lambdas) D^T - A||_F / scale and ortho is
     ||D^T D - I||_F.  Both differences are symmetric, so each norm sums
     the squares of its six (3x3) or three (2x2) unique entries with the
@@ -237,9 +240,9 @@ def residuals(a, dec):
     fuse and reorder), and the cost is float arithmetic only.
     """
     scale = a.scale()
-    d = dec.d.tolist()
-    if len(d) == 2:
-        (d11, d12), (d21, d22) = d
+    d = dec.d_entries
+    if len(d) == 4:
+        d11, d12, d21, d22 = d
         l1, l2 = dec.lambda1, dec.lambda2
         p11, p12, p21, p22 = d11 * l1, d12 * l2, d21 * l1, d22 * l2
         recon = _sym_norm2(p11 * d11 + p12 * d12 - a.a11,
@@ -251,7 +254,7 @@ def residuals(a, dec):
         eigvec = [_eigvec_res2(a, d11, d21, l1) / scale,
                   _eigvec_res2(a, d12, d22, l2) / scale]
         return recon / scale, ortho, eigvec
-    (d11, d12, d13), (d21, d22, d23), (d31, d32, d33) = d
+    d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
     l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
     # the rows of D diag(lambdas)
     p11, p12, p13 = d11 * l1, d12 * l2, d13 * l3

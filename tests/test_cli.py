@@ -468,18 +468,42 @@ class TestBlasKernel:
 
 
 class TestColdStart:
-    def test_import_loads_numpy_and_the_stdlib_only(self):
-        """A fresh ``import symdiag, symdiag.cli`` must not pull in scipy,
-        whose import cost most of the start-up of ``symdiag solve``."""
+    def fresh(self, code, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, timeout=120)
+
+    def test_import_loads_the_stdlib_only(self):
+        """A fresh ``import symdiag, symdiag.cli`` must not pull in numpy
+        or scipy, whose imports cost most of the start-up of ``symdiag
+        solve``."""
         code = ("import sys; before = set(sys.modules); "
                 "import symdiag, symdiag.cli; "
                 "print(symdiag.__file__); "
                 "print(*sorted({m.split('.')[0] for m in sys.modules} "
                 "- {m.split('.')[0] for m in before} "
                 "- set(sys.stdlib_module_names)))")
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        path, loaded = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            text=True, timeout=120, check=True).stdout.splitlines()
+        run = self.fresh(code)
+        assert run.returncode == 0, run.stderr
+        path, loaded = run.stdout.decode().splitlines()
         assert Path(path).resolve().is_relative_to(SRC)
-        assert loaded.split() == ["numpy", "symdiag"]
+        assert loaded.split() == ["symdiag"]
+
+    def test_solve_never_imports_numpy(self):
+        """``symdiag solve`` runs from start to end on Python floats: the
+        golden bytes come out and numpy is still not loaded.  ``verify``,
+        which needs the Jacobi oracle's arrays, loads it on first use."""
+        code = ("import sys, symdiag.cli; "
+                "rc = symdiag.cli.main(['solve', '--input', sys.argv[1]]); "
+                "sys.stdout.flush(); "
+                "print('numpy' in sys.modules, file=sys.stderr); "
+                "sys.exit(rc)")
+        run = self.fresh(code, str(GOLDEN_INPUT))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == GOLDEN_EXPECTED.read_bytes()
+        assert run.stderr == b"False\n"
+        code = ("import sys, symdiag.cli; sys.exit(symdiag.cli.main("
+                "['verify', '--input', sys.argv[1], '--tol', '1e-10']))")
+        run = self.fresh(code, str(INTEGER_INPUT))
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["pass"] == 300

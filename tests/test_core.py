@@ -20,6 +20,8 @@ from symdiag import (
     SymMat3,
     angle_of,
     compose_rotation,
+    diagonalize2,
+    diagonalize3,
     rot2,
     rot3x,
     rot3y,
@@ -281,10 +283,13 @@ class TestValueTypeContract:
         assert EigenDecomp2(3.0, 1.0, 0.5, dec2.d) != dec2
 
     def test_pickle_round_trip(self):
-        for obj in one_of_each():
+        solved = [diagonalize2(SymMat2(1.0, 2.0, 0.5)),
+                  diagonalize3(SymMat3(1.0, 2.0, 3.0, 0.1, 0.2, 0.3))]
+        for obj in one_of_each() + solved:
             back = pickle.loads(pickle.dumps(obj))
             assert type(back) is type(obj) and back == obj, type(obj)
-            if hasattr(obj, "d") and isinstance(obj.d, np.ndarray):
+            if isinstance(obj, (EigenDecomp2, EigenDecomp3)):
+                assert isinstance(obj.d, np.ndarray), type(obj)
                 assert back.d.tobytes() == obj.d.tobytes()
 
     def test_repr_names_the_fields(self):
@@ -294,6 +299,27 @@ class TestValueTypeContract:
             "Angles3(phi1=0.1, phi2=0.2, phi3=0.3)")
         assert repr(EigenDecomp2(3.0, 1.0, 0.25, np.eye(2))).startswith(
             "EigenDecomp2(lambda1=3.0, lambda2=1.0, phi=0.25, d=array(")
+        assert repr(diagonalize2(SymMat2(3.0, 1.0, 0.0))).startswith(
+            "EigenDecomp2(lambda1=3.0, lambda2=1.0, phi=0.0, d=array(")
+        assert ", d=array([[" in repr(diagonalize3(SymMat3(3, 2, 1, 0, 0, 0)))
+
+    def test_solver_d_is_built_on_first_read_and_kept(self):
+        """The solvers hand D over as floats; d builds the float64 array
+        from them once, and d_entries gives the floats whichever is held."""
+        for n, dec in ((2, diagonalize2(SymMat2(1.0, 2.0, 0.5))),
+                       (3, diagonalize3(SymMat3(1.0, 2.0, 3.0, 0.1, 0.2,
+                                                0.3)))):
+            entries = dec.d_entries
+            assert type(entries) is tuple and len(entries) == n * n
+            assert all(type(x) is float for x in entries)
+            d = dec.d
+            assert d is dec.d
+            assert d.dtype == np.float64 and d.shape == (n, n)
+            assert same_bits(d.ravel().tolist(), entries)
+            assert same_bits(dec.d_entries, entries)
+            with pytest.raises(AttributeError):
+                dec.d = d.copy()
+            assert dec.d is d
 
     def test_replace_goes_through_the_checks(self):
         m = SymMat3(1, 2, 3, 0, 0, 0)

@@ -214,9 +214,8 @@ def _four_combo_select(combos, n1, n2, tol_f, cs1, cs2, g):
     return sel, candidates, near_tie
 
 
-def _scored_double(a, lam, lam3):
+def _scored_double(a, lam, lam3, scale):
     """degenerate_double scoring both signs of phi2 with the selection above."""
-    scale = a.scale()
     if abs(lam - lam3) <= eig3.DEGENERATE_EPS * scale:
         raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
     s = eig3._clamp_unit((a.a11 - lam3) / (lam - lam3), "s", slack=1e-5)
@@ -485,7 +484,7 @@ class TestRoundTrip:
 class TestDegenerateDouble:
     def test_already_diagonal_repeated_pair(self):
         a = SymMat3(2.0, 2.0, 1.0, 0.0, 0.0, 0.0)
-        angles, _ = degenerate_double(a, 2.0, 1.0)
+        angles, _ = degenerate_double(a, 2.0, 1.0, a.scale())
         assert angles.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_conjugated_about_e2(self):
@@ -507,8 +506,9 @@ class TestDegenerateDouble:
         assert dec.report.recon_residual < 1e-10
 
     def test_coincident_values_rejected(self):
+        a = SymMat3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(NotDoubleRoot):
-            degenerate_double(SymMat3(1.0, 1.0, 1.0, 0.0, 0.0, 0.0), 1.0, 1.0)
+            degenerate_double(a, 1.0, 1.0, a.scale())
 
     def test_random_double_roots(self):
         rng = np.random.default_rng(43)

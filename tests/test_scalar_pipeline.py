@@ -20,8 +20,10 @@ from symdiag import (
     SymMat2,
     SymMat3,
     compose_rotation,
+    diagonalize2,
     diagonalize3,
     residuals,
+    rot2,
     rot3x,
     rot3y,
     rot3z,
@@ -83,6 +85,25 @@ def test_numpy_scalar_and_float_inputs_bitwise_equal(rows):
         assert (np.array(x.angles.as_tuple()).tobytes()
                 == np.array(y.angles.as_tuple()).tobytes())
         assert x.d.tobytes() == y.d.tobytes()
+
+
+def test_d_bytes_equal_the_array_constructors():
+    """The solvers hand D over as floats; the array d builds from them is
+    compose_rotation(angles) or rot2(phi), to the byte."""
+    rng = np.random.default_rng(205)
+    rows3 = np.vstack([uniform_rows(2000, 206),
+                       clustered_rows(1500, 207, gaps=(0.0, 1e-9, 1.0)),
+                       rng.integers(-3, 4, (2000, 6)).astype(float)])
+    for row in rows3:
+        dec = diagonalize3(SymMat3(*row))
+        assert dec.d.dtype == np.float64 and dec.d.shape == (3, 3)
+        assert dec.d.tobytes() == compose_rotation(dec.angles).tobytes(), row
+    rows2 = np.vstack([uniform_rows(2000, 208)[:, :3],
+                       rng.integers(-3, 4, (2000, 3)).astype(float)])
+    for row in rows2:
+        dec = diagonalize2(SymMat2(*row))
+        assert dec.d.dtype == np.float64 and dec.d.shape == (2, 2)
+        assert dec.d.tobytes() == rot2(dec.phi).tobytes(), row
 
 
 SPECIAL_ANGLES = (0.0, -0.0, 1e-300, -5e-324, 0.3, -0.3, 0.5 * math.pi,

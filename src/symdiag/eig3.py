@@ -9,9 +9,11 @@ only (+,+) and (+,-) are distinct rotations; the generic branch picks the
 one whose two independent estimates of phi1 (one from each of two 2-vector
 identities) agree.  The double-root branch (phi3 = 0) has one rotation
 left and scores nothing.  Both branches share the g-vector formula
-(_g_components), the arcsine refinement (_half_asin) and, with the polish,
-the twin rule that keeps the signs right when an angle is wrapped by pi
-(_half_turn_apart).
+(_g_components) and, with the polish, the twin rule that keeps the signs
+right when an angle is wrapped by pi (_half_turn_apart).  The generic
+branch recovers the digits arccos(sqrt(.)) loses near 0 and pi/2 by the
+Gauss-Newton polish alone (_polish_angles); the double-root branch, which
+is not polished, by its own arcsine swap (_half_asin).
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -309,12 +311,6 @@ def _select_signs(n1, n2, tol_f, cs1, cs2, g):
     return first, candidates, d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
 
 
-def _phi1_route(n1, n2, p11, p12):
-    """phi1 from the f1/g1 route, unless it is NaN or the f2/g2 route is
-    available with the longer f-vector; NaN when neither route is."""
-    return p12 if math.isnan(p11) or (n2 > n1 and not math.isnan(p12)) else p11
-
-
 def _half_turn_apart(full, rep):
     """Whether rep is nearer full + pi than full on the circle of period 2pi.
 
@@ -336,14 +332,15 @@ def _half_asin(x, mag):
 def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     """Final triple with a consistent phi1 representative.
 
-    phi1 is returned as wrap_half_pi of the routed estimate.  The f1/g1
-    route carries the full mod-2pi value p11 of the rotation found; the
-    f2/g2 route only determines phi1 mod pi.  So the twin rule compares the
-    returned phi1 with p11, whichever route gave it, and flips both selected
-    signs when they are a half turn apart.  With f1 = 0 (p11 NaN) the sign
-    choice is immaterial and nothing flips.
+    phi1 is returned as wrap_half_pi of the routed estimate: p11, unless
+    it is NaN or p12 is available with the longer f-vector (0 when neither
+    route is available).  The f1/g1 route carries the full mod-2pi value
+    p11 of the rotation found; the f2/g2 route only determines phi1 mod pi.
+    So the twin rule compares the returned phi1 with p11, whichever route
+    gave it, and flips both selected signs when they are a half turn apart.
+    With f1 = 0 (p11 NaN) the sign choice is immaterial and nothing flips.
     """
-    phi1 = _phi1_route(n1, n2, p11, p12)
+    phi1 = p12 if math.isnan(p11) or (n2 > n1 and not math.isnan(p12)) else p11
     phi1 = 0.0 if math.isnan(phi1) else wrap_half_pi(phi1)
     if _half_turn_apart(p11, phi1):
         s2, s3 = -s2, -s3
@@ -356,69 +353,22 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
     scored: D is invariant under (phi1 + pi, -phi2, -phi3), and
     _assemble_angles flips to that twin by _half_turn_apart.
+    The magnitudes are taken as they come; near 0 or pi/2 the arccos of a
+    square root amplifies rounding in v and w, and diagonalize3's
+    Gauss-Newton polish recovers what that costs the residual.
     Both f-vectors zero means the matrix is diagonal with a repeated entry
     and must go to the double-root branch.  scale is a.scale().
     """
-    (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
+    _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
     if n1 <= tol_f and n2 <= tol_f:
         raise BothFVectorsZero("matrix is diagonal with two equal entries")
 
     phi2_mag = math.acos(math.sqrt(_clamp_unit(v, "v")))
     phi3_mag = math.acos(math.sqrt(_clamp_unit(w, "w")))
     l1, l2, l3 = lambdas
-    gap12, gap23 = l1 - l2, l2 - l3
-    g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
+    g = _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w)
     (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
         n1, n2, tol_f, cs1, cs2, g)
-
-    # Near 0 or pi/2 the arccos(sqrt(.)) magnitudes square-root-amplify
-    # rounding in v and w.  The rotated identities R(phi1) f1 = (g1x, g1y)
-    # and R(2 phi1) f2 = (g2x, g2y) measure sin(2 phi3) and sin(2 phi2)
-    # linearly, so swap those in away from pi/4.  A route is only used when
-    # its phi1-error amplification (the orthogonal h-component over twice
-    # the denominator) stays below one half, so that two passes of
-    # alternating phi1 re-estimation and magnitude refinement contract.  A
-    # pass with both magnitudes inside [pi/8, 3pi/8] refines neither and
-    # would recompute g, p11 and p12 from unchanged inputs, so the loop
-    # ends there.
-    if n1 > tol_f:
-        for _ in range(2):
-            refine2 = phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi
-            refine3 = phi3_mag < 0.125 * math.pi or phi3_mag > 0.375 * math.pi
-            if not (refine2 or refine3):
-                break
-            phi1_est = _phi1_route(n1, n2, p11, p12)
-            if math.isnan(phi1_est):
-                break
-            c1, s1 = math.cos(phi1_est), math.sin(phi1_est)
-            hx = c1 * f1x - s1 * f1y
-            hy = s1 * f1x + c1 * f1y
-            c1d, s1d = math.cos(2.0 * phi1_est), math.sin(2.0 * phi1_est)
-            h2x = c1d * f2x - s1d * f2y
-            h2y = s1d * f2x + c1d * f2y
-            if refine3:
-                c2, s2m = math.cos(phi2_mag), math.sin(phi2_mag)
-                den_a = abs(0.5 * gap12 * c2)
-                den_b = abs(gap12 * s2m)
-                k_a = abs(hy) / (2.0 * den_a) if den_a > 0.0 else math.inf
-                k_b = (abs(h2x) / den_b
-                       if n2 > tol_f and den_b > 0.0 else math.inf)
-                est = math.inf
-                if k_a <= min(k_b, 0.5):
-                    est = hx / (0.5 * gap12 * c2)
-                elif k_b <= 0.5:
-                    est = h2y / (gap12 * s2m)
-                if math.isfinite(est):
-                    phi3_mag = _half_asin(est, phi3_mag)
-                    w = math.cos(phi3_mag) ** 2
-            if refine2:
-                den = 0.5 * (gap12 * w + gap23)
-                if abs(den) > 0.0 and abs(hx) / (2.0 * abs(den)) <= 0.5:
-                    phi2_mag = _half_asin(hy / den, phi2_mag)
-                    v = math.cos(phi2_mag) ** 2
-            g = _g_components(gap12, gap23, phi2_mag, phi3_mag, v, w)
-            p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
-
     angles, signs = _assemble_angles(n1, n2, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
     report = SolveReport(selected_signs=signs, phi1_candidates=candidates,

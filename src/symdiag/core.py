@@ -292,11 +292,10 @@ class EigenDecomp2(_Decomp):
     _n = 2
 
     def __init__(self, lambda1, lambda2, phi, d):
-        _set = object.__setattr__
-        _set(self, "lambda1", lambda1)
-        _set(self, "lambda2", lambda2)
-        _set(self, "phi", phi)
-        _set(self, "_d", d)
+        _set2_lambda1(self, lambda1)
+        _set2_lambda2(self, lambda2)
+        _set2_phi(self, phi)
+        _set2_d(self, d)
 
     @classmethod
     def from_angle(cls, lambda1, lambda2, phi):
@@ -325,14 +324,13 @@ class EigenDecomp3(_Decomp):
 
     def __init__(self, lambda1, lambda2, lambda3, angles, d,
                  branch=Branch.GENERIC, report=SolveReport()):
-        _set = object.__setattr__
-        _set(self, "lambda1", lambda1)
-        _set(self, "lambda2", lambda2)
-        _set(self, "lambda3", lambda3)
-        _set(self, "angles", angles)
-        _set(self, "_d", d)
-        _set(self, "branch", branch)
-        _set(self, "report", report)
+        _set3_lambda1(self, lambda1)
+        _set3_lambda2(self, lambda2)
+        _set3_lambda3(self, lambda3)
+        _set3_angles(self, angles)
+        _set3_d(self, d)
+        _set3_branch(self, branch)
+        _set3_report(self, report)
 
     @property
     def lambdas(self):
@@ -341,6 +339,15 @@ class EigenDecomp3(_Decomp):
     def lambdas_sorted(self):
         """Convenience descending view; the solver order is authoritative."""
         return tuple(sorted(self.lambdas, reverse=True))
+
+
+# The __init__s write each slot through its descriptor's __set__, which
+# skips the raising __setattr__ and the name lookup of object.__setattr__.
+_set2_lambda1, _set2_lambda2, _set2_phi, _set2_d = (
+    getattr(EigenDecomp2, k).__set__ for k in EigenDecomp2.__slots__)
+(_set3_lambda1, _set3_lambda2, _set3_lambda3, _set3_angles, _set3_d,
+ _set3_branch, _set3_report) = (
+    getattr(EigenDecomp3, k).__set__ for k in EigenDecomp3.__slots__)
 
 
 def rot2(phi):

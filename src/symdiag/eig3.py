@@ -7,13 +7,18 @@ phi2 and phi3 are rational in the matrix entries and eigenvalues, which
 leaves their signs.  D is invariant under (phi1 + pi, -phi2, -phi3), so
 only (+,+) and (+,-) are distinct rotations; the generic branch picks the
 one whose two independent estimates of phi1 (one from each of two 2-vector
-identities) agree.  The double-root branch (phi3 = 0) has one rotation
-left and scores nothing.  Both branches share the g-vector formula
-(_g_components) and, with the polish, the twin rule that keeps the signs
-right when an angle is wrapped by pi (_half_turn_apart).  The generic
-branch recovers the digits arccos(sqrt(.)) loses near 0 and pi/2 by the
-Gauss-Newton polish alone (_polish_angles); the double-root branch, which
-is not polished, by its own arcsine swap (_half_asin).
+identities) agree, scoring both in straight-line code (_select_signs).
+The double-root branch (phi3 = 0) has one rotation left and scores
+nothing.  Both branches share the f-vectors (_f_route), the g-vector
+formula (_g_components), the phi1 estimate of each route (_route_angle),
+the choice of the returned phi1 (_assemble_angles) and, with the polish,
+the twin rule that keeps the signs right when an angle is wrapped by pi
+(_half_turn_apart).  The generic branch recovers the digits
+arccos(sqrt(.)) loses near 0 and pi/2 by the Gauss-Newton polish alone
+(_polish_angles); the double-root branch, which is not polished, by its
+own arcsine swap (_half_asin).  resolve_signs returns the SolveReport
+fields as a tuple, and diagonalize3 builds the one report of a generic
+solve with the final residual.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -38,6 +43,10 @@ from .core import (
     wrap_half_pi,
     wrapped_diff_mod_pi,
 )
+
+# CubicCoeffs, PQ and SolveReport are built once per solve; tuple.__new__
+# fills the named tuple without running its Python-level __new__.
+_tuple_new = tuple.__new__
 
 # f-vector norms at or below F_ZERO_EPS * max(1, ||A||_F) are treated as zero.
 F_ZERO_EPS = 1e-14
@@ -95,29 +104,14 @@ class PQ(NamedTuple):
     double_root: bool = False
 
 
-def triple_root_threshold(scale):
-    """p at or below this is the triple-root case (p scales as A^2)."""
-    return 9.0 * (1e-12 * scale) ** 2
-
-
-def discriminant_threshold(scale):
-    """4p^3 - q^2 at or below this is a double root (discriminant scales as A^6).
-
-    The computed discriminant of an exact double root is rounding noise up
-    to a few 1e-14 * scale^6; random matrices with all gaps resolvable sit
-    above ~1e-6 * scale^6.  The constant splits those populations.
-    """
-    return 1e-12 * scale**6
-
-
 def char_coeffs(a: SymMat3) -> CubicCoeffs:
     """Characteristic-cubic coefficients from the matrix entries."""
-    b = a.a11 + a.a22 + a.a33
-    c = (a.a11 * a.a22 + a.a11 * a.a33 + a.a22 * a.a33
-         - a.a12**2 - a.a13**2 - a.a23**2)
-    d = (a.a11 * a.a23**2 + a.a22 * a.a13**2 + a.a33 * a.a12**2
-         - a.a11 * a.a22 * a.a33 - 2.0 * a.a12 * a.a13 * a.a23)
-    return CubicCoeffs(b, c, d)
+    a11, a22, a33, a12, a13, a23 = a
+    b = a11 + a22 + a33
+    c = a11 * a22 + a11 * a33 + a22 * a33 - a12**2 - a13**2 - a23**2
+    d = (a11 * a23**2 + a22 * a13**2 + a33 * a12**2
+         - a11 * a22 * a33 - 2.0 * a12 * a13 * a23)
+    return _tuple_new(CubicCoeffs, (b, c, d))
 
 
 def pq_expanded(a: SymMat3) -> tuple:
@@ -145,26 +139,31 @@ def compute_pq(coeffs: CubicCoeffs) -> PQ:
     Near a double root q/(2 sqrt(p^3)) legitimately rounds past +-1 and is
     clamped; an excursion beyond CLAMP_SLACK indicates broken input.
     """
-    b, c = coeffs.b, coeffs.c
+    b, c, d = coeffs
     s = coeffs.scale()
     p = b * b - 3.0 * c
-    q = 2.0 * b**3 - 9.0 * b * c - 27.0 * coeffs.d
+    q = 2.0 * b**3 - 9.0 * b * c - 27.0 * d
     if p < 0.0:
         if p < -1e-12 * max(1.0, b * b + abs(c)):
             raise ValueError(f"p = {p} is negative beyond rounding tolerance")
         p = 0.0
-    if p <= triple_root_threshold(s):
-        return PQ(p, q)
-    if 4.0 * p**3 - q * q <= discriminant_threshold(s):
-        # double root: the arccos argument is +-1 up to (possibly large
-        # relative) rounding in q; the sign of q decides the endpoint
-        return PQ(p, q, 0.0 if q >= 0.0 else math.pi, True)
+    # triple root: p scales as A^2
+    if p <= 9.0 * (1e-12 * s) ** 2:
+        return _tuple_new(PQ, (p, q, None, False))
+    # double root: 4p^3 - q^2 scales as A^6.  The computed discriminant of
+    # an exact double root is rounding noise up to a few 1e-14 * scale^6;
+    # random matrices with all gaps resolvable sit above ~1e-6 * scale^6,
+    # and 1e-12 * scale^6 splits those populations.  The arccos argument
+    # is then +-1 up to (possibly large relative) rounding in q; the sign
+    # of q decides the endpoint.
+    if 4.0 * p**3 - q * q <= 1e-12 * s**6:
+        return _tuple_new(PQ, (p, q, 0.0 if q >= 0.0 else math.pi, True))
     arg = q / (2.0 * math.sqrt(p**3))
     if abs(arg) > 1.0:
         if abs(arg) > 1.0 + CLAMP_SLACK:
             raise ValueError(f"arccos argument {arg} out of range beyond slack")
         arg = 1.0 if arg > 0.0 else -1.0
-    return PQ(p, q, math.acos(arg))
+    return _tuple_new(PQ, (p, q, math.acos(arg), False))
 
 
 def eigenvalues3(coeffs: CubicCoeffs, pq: PQ) -> tuple:
@@ -223,8 +222,9 @@ def _f_route(a: SymMat3, scale):
     cs1/cs2 are the (cos, sin) of the f-vector angles psi1, psi2; an
     f-vector at or below tol_f gets the placeholder direction (1, 0).
     """
-    f1x, f1y = a.a12, -a.a13
-    f2x, f2y = a.a22 - a.a33, -2.0 * a.a23
+    _, a22, a33, a12, a13, a23 = a
+    f1x, f1y = a12, -a13
+    f2x, f2y = a22 - a33, -2.0 * a23
     n1 = math.hypot(f1x, f1y)
     n2 = math.hypot(f2x, f2y)
     tol_f = F_ZERO_EPS * scale
@@ -263,49 +263,60 @@ def g_vectors(lambdas, phi2, phi3, v, w):
     return np.array([g1x, g1y]), np.array([g2x, g2y])
 
 
-def _rotated_angle(cos_psi, sin_psi, gx, gy):
-    """angle_of(R(-psi) . g), computed without building the matrix."""
-    x = cos_psi * gx + sin_psi * gy
-    y = -sin_psi * gx + cos_psi * gy
-    if x == 0.0 and y == 0.0:
-        raise AngleOfZeroVector("angle_of requires a nonzero vector")
-    a = math.atan2(y, x)
-    return math.pi if a == -math.pi else a
+def _route_angle(n, tol_f, cs, gx, gy):
+    """angle_of(R(-psi) . g) for one f/g route, computed without building
+    the matrix; NaN where the route is unavailable.
+
+    n is the f-vector's norm and cs = (cos psi, sin psi) its direction.  A
+    route needs both its f-vector above tol_f and its g-vector nonzero; the
+    latter can underflow to exactly zero for nearly diagonal matrices whose
+    angle quotients round to their endpoints.
+    """
+    if n > tol_f and (gx != 0.0 or gy != 0.0):
+        cos_psi, sin_psi = cs
+        x = cos_psi * gx + sin_psi * gy
+        y = -sin_psi * gx + cos_psi * gy
+        if x == 0.0 and y == 0.0:
+            raise AngleOfZeroVector("angle_of requires a nonzero vector")
+        a = math.atan2(y, x)
+        return math.pi if a == -math.pi else a
+    return math.nan
 
 
 def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3):
     """phi1 estimate from each f/g route; NaN where the route is unavailable.
 
     g holds the g-vector components at the angle magnitudes; s2, s3 are the
-    signs of phi2 and phi3.  A route needs both its f-vector above
-    tolerance and its g-vector nonzero; the latter can underflow to exactly
-    zero for nearly diagonal matrices whose angle quotients round to their
-    endpoints.
+    signs of phi2 and phi3.  The f1/g1 route gives phi1, the f2/g2 route
+    2 phi1.
     """
     g1x, g1y, g2x, g2y = g
-    p11 = (_rotated_angle(cs1[0], cs1[1], s3 * g1x, s2 * g1y)
-           if n1 > tol_f and (g1x != 0.0 or g1y != 0.0) else math.nan)
-    p12 = (0.5 * _rotated_angle(cs2[0], cs2[1], g2x, s2 * s3 * g2y)
-           if n2 > tol_f and (g2x != 0.0 or g2y != 0.0) else math.nan)
-    return p11, p12
+    return (_route_angle(n1, tol_f, cs1, s3 * g1x, s2 * g1y),
+            0.5 * _route_angle(n2, tol_f, cs2, g2x, s2 * s3 * g2y))
 
 
 def _select_signs(n1, n2, tol_f, cs1, cs2, g):
     """Pick (+,+) or (+,-), the two distinct rotations, by phi1 agreement.
 
-    With both routes available, the smaller wrapped mod-pi difference
-    between the two phi1 estimates wins and a tie within TIE_EPS goes to
-    (+,+); near_tie flags a loser more than TIE_EPS and at most
-    NEAR_TIE_EPS behind.  With a single route (+,+) is used.  Returns the
-    selected (s2, s3, p11, p12, diff), both candidates and near_tie.
+    Both are scored in straight-line code, as _phi1_candidates would score
+    them: flipping phi3 negates g1x on the f1/g1 route and g2y on the f2/g2
+    route.  With both routes available, the smaller wrapped mod-pi
+    difference between the two phi1 estimates wins and a tie within
+    TIE_EPS goes to (+,+); near_tie flags a loser more than TIE_EPS and at
+    most NEAR_TIE_EPS behind.  With a single route (+,+) is used.  Returns
+    the selected (s2, s3, p11, p12, diff), both candidates and near_tie.
     """
-    candidates = []
-    for s3 in (1, -1):
-        p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, s3)
-        candidates.append((1, s3, p11, p12, wrapped_diff_mod_pi(p11, p12)))
-    first, second = candidates = tuple(candidates)
-    d1, d2 = first[4], second[4]
-    # a NaN difference (one route only) compares false: (+,+), no near-tie
+    g1x, g1y, g2x, g2y = g
+    p11 = _route_angle(n1, tol_f, cs1, g1x, g1y)
+    q11 = _route_angle(n1, tol_f, cs1, -g1x, g1y)
+    p12 = 0.5 * _route_angle(n2, tol_f, cs2, g2x, g2y)
+    q12 = 0.5 * _route_angle(n2, tol_f, cs2, g2x, -g2y)
+    # wrapped_diff_mod_pi of each pair; NaN with one route only
+    d1 = abs(math.remainder(p11 - p12, math.pi))
+    d2 = abs(math.remainder(q11 - q12, math.pi))
+    first, second = candidates = ((1, 1, p11, p12, d1),
+                                  (1, -1, q11, q12, d2))
+    # a NaN difference compares false: (+,+), no near-tie
     if d1 > d2 + TIE_EPS:
         return second, candidates, d1 - d2 <= NEAR_TIE_EPS
     return first, candidates, d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
@@ -350,30 +361,32 @@ def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
 def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     """Select the signs of phi2 and phi3 and recover phi1.
 
+    v and w are as compute_v and compute_w return them, already in [0, 1].
     Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
-    scored: D is invariant under (phi1 + pi, -phi2, -phi3), and
-    _assemble_angles flips to that twin by _half_turn_apart.
-    The magnitudes are taken as they come; near 0 or pi/2 the arccos of a
-    square root amplifies rounding in v and w, and diagonalize3's
-    Gauss-Newton polish recovers what that costs the residual.
-    Both f-vectors zero means the matrix is diagonal with a repeated entry
-    and must go to the double-root branch.  scale is a.scale().
+    scored, by _select_signs in straight-line code: D is invariant under
+    (phi1 + pi, -phi2, -phi3), and _assemble_angles flips to that twin by
+    _half_turn_apart.  The magnitudes are taken as they come; near 0 or
+    pi/2 the arccos of a square root amplifies rounding in v and w, and
+    diagonalize3's Gauss-Newton polish recovers what that costs the
+    residual.  Both f-vectors zero means the matrix is diagonal with a
+    repeated entry and must go to the double-root branch.  scale is
+    a.scale().  Returns the angles and the SolveReport fields but the
+    residual: (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
+    near_tie); diagonalize3 builds the one report of the solve.
     """
     _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
     if n1 <= tol_f and n2 <= tol_f:
         raise BothFVectorsZero("matrix is diagonal with two equal entries")
 
-    phi2_mag = math.acos(math.sqrt(_clamp_unit(v, "v")))
-    phi3_mag = math.acos(math.sqrt(_clamp_unit(w, "w")))
+    phi2_mag = math.acos(math.sqrt(v))
+    phi3_mag = math.acos(math.sqrt(w))
     l1, l2, l3 = lambdas
     g = _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w)
     (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
         n1, n2, tol_f, cs1, cs2, g)
     angles, signs = _assemble_angles(n1, n2, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
-    report = SolveReport(selected_signs=signs, phi1_candidates=candidates,
-                         f1_norm=n1, f2_norm=n2, near_tie=near_tie)
-    return angles, report
+    return angles, signs, candidates, n1, n2, near_tie
 
 
 def degenerate_double(a: SymMat3, lam, lam3, scale):
@@ -553,9 +566,14 @@ def _dot6(x, y):
 
 def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
     """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries,
-    from the nine entries of D, row by row."""
-    r = _residual6(_reconstruct6(d, lambdas), a)
-    return math.sqrt(_dot6(r, r)) / scale
+    from the nine entries of D, row by row: sqrt(_dot6(r, r)) / scale for
+    r = _residual6(_reconstruct6(d, lambdas), a), written out."""
+    m11, m22, m33, m12, m13, m23 = _reconstruct6(d, lambdas)
+    a11, a22, a33, a12, a13, a23 = a
+    r11, r22, r33 = m11 - a11, m22 - a22, m33 - a33
+    r12, r13, r23 = m12 - a12, m13 - a13, m23 - a23
+    return math.sqrt(r11 * r11 + r22 * r22 + r33 * r33
+                     + 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)) / scale
 
 
 def diagonalize3(a: SymMat3) -> EigenDecomp3:
@@ -580,7 +598,7 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         lambdas = (lam, lam, lam)
         angles = Angles3(0.0, 0.0, 0.0)
         n1, n2 = _f_route(a, scale)[2:4]
-        report = SolveReport(f1_norm=n1, f2_norm=n2)
+        signs, candidates, near_tie = (1, 1), (), False
         branch = Branch.TRIPLE_ROOT
     else:
         lambdas = eigenvalues3(coeffs, pq)
@@ -589,18 +607,19 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             try:
                 v = compute_v(a, lambdas)
                 w = compute_w(a, lambdas, v)
-                angles, report = resolve_signs(a, lambdas, v, w, scale)
-                if (report.f1_norm <= F_ZERO_EPS * scale
-                        or report.f2_norm <= F_ZERO_EPS * scale):
-                    branch = Branch.ALREADY_DIAGONAL_2D
-                else:
-                    branch = Branch.GENERIC
+                angles, signs, candidates, n1, n2, near_tie = resolve_signs(
+                    a, lambdas, v, w, scale)
             except (BothFVectorsZero, DegenerateEigenvalues, DomainExcursion):
                 pass  # the generic quotients do not fit: reroute
+            else:
+                tol_f = F_ZERO_EPS * scale
+                branch = (Branch.ALREADY_DIAGONAL_2D
+                          if n1 <= tol_f or n2 <= tol_f else Branch.GENERIC)
         if branch is None:
             lam, lam3 = _double_root_lambdas(lambdas)
             lambdas = (lam, lam, lam3)
             angles, report = degenerate_double(a, lam, lam3, scale)
+            signs, candidates, n1, n2, _, near_tie = report
             branch = Branch.DOUBLE_ROOT
 
     d = rotation_entries(*angles)
@@ -613,9 +632,8 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             d = rotation_entries(*angles)
             # the residual of the d returned, not of the unwrapped polish
             recon_res = _reconstruction_residual(a, d, lambdas, scale)
-    report = SolveReport(report.selected_signs, report.phi1_candidates,
-                         report.f1_norm, report.f2_norm, recon_res,
-                         report.near_tie)
+    report = _tuple_new(SolveReport, (signs, candidates, n1, n2, recon_res,
+                                      near_tie))
     return EigenDecomp3(lambdas[0], lambdas[1], lambdas[2], angles, d,
                         branch, report)
 

@@ -4,11 +4,12 @@ Nothing here shares a code path with the trigonometric formulas: the
 eigensolver is classical cyclic Jacobi, and the cubic roots come from
 bisection of brackets on the characteristic polynomial.  Both are written
 here on the standard library and numpy alone, and numpy is imported by
-jacobi_eigen and reconstruct, which return arrays, on their first call:
-importing this module loads the standard library only.  Jacobi rotates the
-rows of a 2x2 or 3x3 held as Python floats, so its cost is its own
-arithmetic rather than numpy's per-call overhead, and it serves as the
-yardstick for the closed form's speed as well as its accuracy.
+jacobi_eigen and reconstruct, which take and return arrays, on their first
+call: importing this module loads the standard library only.  Jacobi
+rotates the rows of a 2x2 or 3x3 held as Python floats; its float entry
+point, jacobi_eigen_floats, takes a SymMat2 or SymMat3 and returns floats,
+so ``symdiag verify`` and ``symdiag bench`` pay for its arithmetic and
+generic list loops only, without an array round trip.
 """
 
 import math
@@ -39,8 +40,13 @@ class ComplexRootsDetected(ValueError):
 
 
 class JacobiResult(NamedTuple):
-    eigenvalues: "numpy.ndarray"
-    eigenvectors: "numpy.ndarray"
+    """Eigenvalues, eigenvectors as the columns of V, sweeps taken and the
+    final off-diagonal norm.  jacobi_eigen gives eigenvalues and V as
+    arrays; jacobi_eigen_floats gives the eigenvalues as a tuple of floats
+    and V as its rows, lists of floats."""
+
+    eigenvalues: "numpy.ndarray | tuple"
+    eigenvectors: "numpy.ndarray | list"
     sweeps: int
     offdiag_final: float
 
@@ -50,24 +56,60 @@ _PAIRS = {2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
-    """Cyclic-by-row Jacobi rotations until the off-diagonal mass is gone.
+    """jacobi_eigen_floats on a SymMat2, SymMat3 or a symmetric 2x2 or 3x3
+    array-like, with the eigenvalues and V returned as float64 arrays.
 
-    Accepts SymMat2, SymMat3 or a symmetric 2x2 or 3x3 array-like; any
-    other shape raises ValueError.  Stops when the squared off-diagonal sum
-    drops to tol^2 * max(1, ||A||_F^2).  A matrix whose largest |entry|
-    exceeds JACOBI_PRESCALE_ABOVE is first scaled by 2^-e, with e from
-    frexp of that entry, so that ||A||_F^2 stays finite; the eigenvalues
-    and the final off-diagonal norm are scaled back by 2^e, both exactly.
+    Any other shape raises ValueError.  The eigenvalues are the same
+    floats as jacobi_eigen_floats gives.
     """
     import numpy as np
+    if isinstance(a, (SymMat2, SymMat3)):
+        res = jacobi_eigen_floats(a, tol)
+    else:
+        m = np.array(a, dtype=float)
+        if m.shape not in ((2, 2), (3, 3)):
+            raise ValueError(
+                f"expected a 2x2 or 3x3 matrix, got shape {m.shape}")
+        res = _jacobi(m.tolist(), tol)
+    return JacobiResult(np.array(res.eigenvalues), np.array(res.eigenvectors),
+                        res.sweeps, res.offdiag_final)
+
+
+def jacobi_eigen_floats(a, tol=1e-13) -> JacobiResult:
+    """Cyclic-by-row Jacobi rotations on a SymMat2 or SymMat3, in Python
+    floats: numpy is neither imported nor called.
+
+    Stops when the squared off-diagonal sum drops to tol^2 * max(1,
+    ||A||_F^2).  A matrix whose largest |entry| exceeds
+    JACOBI_PRESCALE_ABOVE is first scaled by 2^-e, with e from frexp of
+    that entry, so that ||A||_F^2 stays finite; the eigenvalues and the
+    final off-diagonal norm are scaled back by 2^e, both exactly.
+    """
+    if isinstance(a, SymMat3):
+        a11, a22, a33, a12, a13, a23 = a
+        m = [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+    elif isinstance(a, SymMat2):
+        a11, a22, a12 = a
+        m = [[a11, a12], [a12, a22]]
+    else:
+        raise TypeError(f"expected a SymMat2 or SymMat3, "
+                        f"got {type(a).__name__}")
+    return _jacobi(m, tol)
+
+
+def _ldexp(x, exp):
+    """x * 2^exp, exactly; +-inf where that overflows, as numpy's ldexp."""
+    try:
+        return math.ldexp(x, exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _jacobi(m, tol):
+    """The rotations of jacobi_eigen_floats on m, the rows of a 2x2 or
+    3x3 as lists of floats, which it overwrites."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if isinstance(a, (SymMat2, SymMat3)):
-        a = a.to_array()
-    m = np.array(a, dtype=float)
-    if m.shape not in ((2, 2), (3, 3)):
-        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {m.shape}")
-    m = m.tolist()
     exp = 0
     biggest = max(abs(x) for row in m for x in row)
     if biggest > JACOBI_PRESCALE_ABOVE:
@@ -75,7 +117,7 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
         m = [[math.ldexp(x, -exp) for x in row] for row in m]
     n = len(m)
     pairs = _PAIRS[n]
-    v = np.eye(n).tolist()
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     thresh = tol * tol * max(1.0, sum(x * x for row in m for x in row))
 
     sweeps = 0
@@ -104,8 +146,8 @@ def jacobi_eigen(a, tol=1e-13) -> JacobiResult:
             m[q] = [s * x + c * y for x, y in zip(mp, mq)]
         sweeps += 1
         off = sum(m[p][q] ** 2 for p, q in pairs)
-    return JacobiResult(np.ldexp([m[i][i] for i in range(n)], exp),
-                        np.array(v), sweeps, math.ldexp(math.sqrt(off), exp))
+    return JacobiResult(tuple(_ldexp(m[i][i], exp) for i in range(n)), v,
+                        sweeps, math.ldexp(math.sqrt(off), exp))
 
 
 def _bisect(f, a, b):

@@ -491,8 +491,7 @@ class TestColdStart:
 
     def test_solve_never_imports_numpy(self):
         """``symdiag solve`` runs from start to end on Python floats: the
-        golden bytes come out and numpy is still not loaded.  ``verify``,
-        which needs the Jacobi oracle's arrays, loads it on first use."""
+        golden bytes come out and numpy is still not loaded."""
         code = ("import sys, symdiag.cli; "
                 "rc = symdiag.cli.main(['solve', '--input', sys.argv[1]]); "
                 "sys.stdout.flush(); "
@@ -502,8 +501,18 @@ class TestColdStart:
         assert run.returncode == 0, run.stderr
         assert run.stdout == GOLDEN_EXPECTED.read_bytes()
         assert run.stderr == b"False\n"
-        code = ("import sys, symdiag.cli; sys.exit(symdiag.cli.main("
-                "['verify', '--input', sys.argv[1], '--tol', '1e-10']))")
-        run = self.fresh(code, str(INTEGER_INPUT))
-        assert run.returncode == 0, run.stderr
-        assert json.loads(run.stdout)["pass"] == 300
+
+    def test_verify_never_imports_numpy(self):
+        """``symdiag verify`` checks every record against the Jacobi
+        oracle's float entry point, so numpy is not loaded either."""
+        code = ("import sys, symdiag.cli; "
+                "rc = symdiag.cli.main(['verify', '--input', sys.argv[1], "
+                "'--tol', '1e-10']); "
+                "sys.stdout.flush(); "
+                "print('numpy' in sys.modules, file=sys.stderr); "
+                "sys.exit(rc)")
+        for path, n in ((GOLDEN_INPUT, 12), (INTEGER_INPUT, 300)):
+            run = self.fresh(code, str(path))
+            assert run.returncode == 0, run.stderr
+            assert json.loads(run.stdout)["pass"] == n
+            assert run.stderr == b"False\n"

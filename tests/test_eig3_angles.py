@@ -28,6 +28,7 @@ from symdiag import (
     wrapped_diff_mod_pi,
 )
 from symdiag import SolveReport, eig3
+from symdiag.core import rotation_entries
 from symdiag.eig3 import NEAR_TIE_EPS, TIE_EPS, _select_signs
 from conftest import (clustered_sym3, conjugated, random_sym3, structured_sym3,
                       sym3)
@@ -280,6 +281,43 @@ class TestTwinScoringPin:
         assert min(calls.values()) > 0, calls
         # the corpus reaches near-ties, (+,-) winners and double roots
         assert min(seen.values()) >= 20, seen
+
+
+def test_stage_chain_reproduces_generic_results():
+    """The public stages, chained by hand, give diagonalize3's Generic
+    results bit for bit: diagonalize3 runs no other copy of them.  Rows
+    whose chained residual is above the polish trigger (1e-12) are compared
+    up to the angles, which the polish may then change."""
+    rng = np.random.default_rng(70)
+    compared = polished = 0
+    for _ in range(2000):
+        a = random_sym3(rng)
+        dec = diagonalize3(a)
+        assert dec.branch is Branch.GENERIC, a
+        coeffs = char_coeffs(a)
+        lambdas = eigenvalues3(coeffs, compute_pq(coeffs))
+        v = compute_v(a, lambdas)
+        w = compute_w(a, lambdas, v)
+        scale = a.scale()
+        angles, signs, candidates, n1, n2, near_tie = eig3.resolve_signs(
+            a, lambdas, v, w, scale)
+        d = rotation_entries(*angles)
+        res = eig3._reconstruction_residual(a, d, lambdas, scale)
+        assert same_bits(dec.lambdas, lambdas), a
+        report = dec.report
+        assert report.selected_signs == signs, a
+        assert same_bits(report.phi1_candidates, candidates), a
+        assert same_bits([report.f1_norm, report.f2_norm], [n1, n2]), a
+        assert report.near_tie is near_tie, a
+        if res > 1e-12:
+            polished += 1
+            continue
+        assert same_bits(dec.angles.as_tuple(), angles.as_tuple()), a
+        assert same_bits(dec.d_entries, d), a
+        assert same_bits(report.recon_residual, res), a
+        compared += 1
+    assert polished <= 20 and compared + polished == 2000, (compared,
+                                                            polished)
 
 
 # Generic matrices whose phi1 comes from the f2/g2 route while p11, the

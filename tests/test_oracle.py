@@ -104,6 +104,33 @@ class TestJacobi:
                 jacobi_eigen(SymMat2(1.0, 2.0, 0.5), tol=tol)
             with pytest.raises(ValueError):
                 jacobi_eigen(SymMat3(1.0, 2.0, 3.0, 0.5, 0.4, 0.3), tol=tol)
+            with pytest.raises(ValueError):
+                oracle.jacobi_eigen_floats(SymMat2(1.0, 2.0, 0.5), tol=tol)
+
+    def test_float_entry_point_gives_the_array_results(self):
+        """jacobi_eigen_floats returns floats, the same as jacobi_eigen's
+        arrays bit for bit, prescaled matrices included."""
+        rng = np.random.default_rng(54)
+        mats = [random_sym3(rng) for _ in range(200)]
+        mats += [random_sym2(rng) for _ in range(200)]
+        mats += [SymMat3(*np.ldexp(rng.uniform(-1.0, 1.0, 6), 900))
+                 for _ in range(50)]
+        mats.append(SymMat2(1.5e308, 1.5e308, 1.5e308))  # lambda1 is inf
+        for m in mats:
+            res = oracle.jacobi_eigen_floats(m)
+            arr = jacobi_eigen(m.to_array())
+            assert type(res.eigenvalues) is tuple
+            assert all(type(x) is float for x in res.eigenvalues)
+            assert (np.array(res.eigenvalues).tobytes()
+                    == arr.eigenvalues.tobytes()), m
+            assert (np.array(res.eigenvectors).tobytes()
+                    == arr.eigenvectors.tobytes()), m
+            assert (res.sweeps, res.offdiag_final) == (arr.sweeps,
+                                                      arr.offdiag_final)
+
+    def test_float_entry_point_takes_symmats_only(self):
+        with pytest.raises(TypeError, match="SymMat2 or SymMat3"):
+            oracle.jacobi_eigen_floats(np.eye(3))
 
 
 class TestCubicRootsReference:

@@ -16,9 +16,9 @@ the twin rule that keeps the signs right when an angle is wrapped by pi
 (_half_turn_apart).  The generic branch recovers the digits
 arccos(sqrt(.)) loses near 0 and pi/2 by the Gauss-Newton polish alone
 (_polish_angles); the double-root branch, which is not polished, by its
-own arcsine swap (_half_asin).  resolve_signs returns the SolveReport
-fields as a tuple, and diagonalize3 builds the one report of a generic
-solve with the final residual.
+own arcsine swap.  resolve_signs and degenerate_double return the
+SolveReport fields as a tuple; diagonalize3 builds each solve's one report
+with the final residual.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -41,12 +41,13 @@ from .core import (
     compose_rotation,
     rotation_entries,
     wrap_half_pi,
-    wrapped_diff_mod_pi,
 )
 
-# CubicCoeffs, PQ and SolveReport are built once per solve; tuple.__new__
-# fills the named tuple without running its Python-level __new__.
+# CubicCoeffs, PQ, SolveReport and Angles3 are built once per solve;
+# tuple.__new__ fills them without running a Python-level __new__.
 _tuple_new = tuple.__new__
+_HALF_PI = 0.5 * math.pi
+_ZERO_ANGLES = Angles3(0.0, 0.0, 0.0)  # of every TripleRoot result
 
 # f-vector norms at or below F_ZERO_EPS * max(1, ||A||_F) are treated as zero.
 F_ZERO_EPS = 1e-14
@@ -140,7 +141,7 @@ def compute_pq(coeffs: CubicCoeffs) -> PQ:
     clamped; an excursion beyond CLAMP_SLACK indicates broken input.
     """
     b, c, d = coeffs
-    s = coeffs.scale()
+    s = max(1.0, math.sqrt(max(b * b - 2.0 * c, 0.0)))  # CubicCoeffs.scale()
     p = b * b - 3.0 * c
     q = 2.0 * b**3 - 9.0 * b * c - 27.0 * d
     if p < 0.0:
@@ -333,13 +334,6 @@ def _half_turn_apart(full, rep):
     return abs(math.remainder(full - rep, 2.0 * math.pi)) > 0.5 * math.pi
 
 
-def _half_asin(x, mag):
-    """The theta in [0, pi/2] with sin(2 theta) = min(|x|, 1), on the same
-    side of pi/4 as the estimate mag."""
-    half = 0.5 * math.asin(min(abs(x), 1.0))
-    return half if mag <= 0.25 * math.pi else 0.5 * math.pi - half
-
-
 def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     """Final triple with a consistent phi1 representative.
 
@@ -355,7 +349,14 @@ def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
     phi1 = 0.0 if math.isnan(phi1) else wrap_half_pi(phi1)
     if _half_turn_apart(p11, phi1):
         s2, s3 = -s2, -s3
-    return Angles3(phi1, s2 * phi2_mag, s3 * phi3_mag), (s2, s3)
+    # phi1 is wrapped and the magnitudes lie in [0, pi/2], where wrap_half_pi
+    # changes only -0.0 (to +0.0, as "+ 0.0" does) and -pi/2 (to pi/2):
+    # Angles3 takes that case, and any angle out of range or NaN.
+    phi2 = s2 * phi2_mag + 0.0
+    phi3 = s3 * phi3_mag + 0.0
+    if -_HALF_PI < phi2 <= _HALF_PI and -_HALF_PI < phi3 <= _HALF_PI:
+        return _tuple_new(Angles3, (phi1, phi2, phi3)), (s2, s3)
+    return Angles3(phi1, phi2, phi3), (s2, s3)
 
 
 def resolve_signs(a: SymMat3, lambdas, v, w, scale):
@@ -397,13 +398,16 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
     rule of _assemble_angles).  phi1 comes from the f/g routes, with the
     generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
-    v = cos(phi2)^2 and w = 1.  scale is a.scale().
+    v = cos(phi2)^2 and w = 1.  scale is max(1, ||A||_F).  Returns (angles,
+    selected_signs, phi1_candidates, f1_norm, f2_norm, near_tie) as
+    resolve_signs does, with the one candidate (1, 1) and near_tie False.
     """
-    if abs(lam - lam3) <= DEGENERATE_EPS * scale:
+    gap = lam - lam3
+    if abs(gap) <= DEGENERATE_EPS * scale:
         raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
     # a near-double matrix legitimately pushes s outside [0, 1] by O(gap),
     # not just by rounding, hence the wider slack than the generic branch
-    s = _clamp_unit((a.a11 - lam3) / (lam - lam3), "s", slack=1e-5)
+    s = _clamp_unit((a.a11 - lam3) / gap, "s", 1e-5)
     phi2_mag = math.acos(math.sqrt(s))
     _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
 
@@ -411,20 +415,20 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     # entries.  Near phi2 = 0 or pi/2 the arccos(sqrt(s)) route square-root
     # amplifies rounding (and any slight deviation from an exact double
     # root), while the arcsin route is linear there; swap it in away from
-    # pi/4, keeping the quadrant decided by s.
+    # pi/4, keeping the side of pi/4 decided by s.
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        phi2_mag = _half_asin(2.0 * n1 / (lam - lam3), phi2_mag)
+        half = 0.5 * math.asin(min(abs(2.0 * n1 / gap), 1.0))
+        phi2_mag = half if phi2_mag <= 0.25 * math.pi else _HALF_PI - half
         s = math.cos(phi2_mag) ** 2
 
-    g = _g_components(0.0, lam - lam3, phi2_mag, 0.0, s, 1.0)
+    g = _g_components(0.0, gap, phi2_mag, 0.0, s, 1.0)
     p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, 1)
     # an already diagonal matrix has no usable route and gets phi1 = 0: any
     # phi1 rotates within the repeated eigenspace
     angles, signs = _assemble_angles(n1, n2, p11, p12, 1, 1, phi2_mag, 0.0)
-    candidate = (1, 1, p11, p12, wrapped_diff_mod_pi(p11, p12))
-    report = SolveReport(selected_signs=signs, phi1_candidates=(candidate,),
-                         f1_norm=n1, f2_norm=n2)
-    return angles, report
+    # wrapped_diff_mod_pi(p11, p12); NaN with one route only
+    candidate = (1, 1, p11, p12, abs(math.remainder(p11 - p12, math.pi)))
+    return angles, signs, (candidate,), n1, n2, False
 
 
 def _jacobian6(phi1, phi2, rec):
@@ -526,13 +530,15 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
 def _double_root_lambdas(lambdas):
     """Reorder so the repeated pair (the closest two roots, averaged) comes first."""
     l1, l2, l3 = lambdas
-    gaps = (abs(l1 - l2), abs(l1 - l3), abs(l2 - l3))
-    k = gaps.index(min(gaps))
-    if k == 0:
-        return 0.5 * (l1 + l2), l3
-    if k == 1:
+    d12, d13, d23 = abs(l1 - l2), abs(l1 - l3), abs(l2 - l3)
+    # as min() compares: a later gap wins only when strictly smaller
+    if d13 < d12:
+        if d23 < d13:
+            return 0.5 * (l2 + l3), l1
         return 0.5 * (l1 + l3), l2
-    return 0.5 * (l2 + l3), l1
+    if d23 < d12:
+        return 0.5 * (l2 + l3), l1
+    return 0.5 * (l1 + l2), l3
 
 
 def _reconstruct6(d, lambdas):
@@ -588,15 +594,19 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     unpolished, because no rotation lowers their residual: a DoubleRoot
     residual comes from averaging the two closest roots, and D . lam I .
     D^T = lam I leaves a TripleRoot residual to the eigenvalue alone.
+    resolve_signs or degenerate_double returns the report fields, and the
+    solve's one SolveReport is built here with the final residual.
     """
     coeffs = char_coeffs(a)
     pq = compute_pq(coeffs)
-    scale = a.scale()
+    a11, a22, a33, a12, a13, a23 = a
+    scale = max(1.0, math.sqrt(a11**2 + a22**2 + a33**2  # a.scale()
+                               + 2.0 * (a12**2 + a13**2 + a23**2)))
 
     if pq.delta is None:
         lam = coeffs.b / 3.0
         lambdas = (lam, lam, lam)
-        angles = Angles3(0.0, 0.0, 0.0)
+        angles = _ZERO_ANGLES
         n1, n2 = _f_route(a, scale)[2:4]
         signs, candidates, near_tie = (1, 1), (), False
         branch = Branch.TRIPLE_ROOT
@@ -618,8 +628,8 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         if branch is None:
             lam, lam3 = _double_root_lambdas(lambdas)
             lambdas = (lam, lam, lam3)
-            angles, report = degenerate_double(a, lam, lam3, scale)
-            signs, candidates, n1, n2, _, near_tie = report
+            angles, signs, candidates, n1, n2, near_tie = degenerate_double(
+                a, lam, lam3, scale)
             branch = Branch.DOUBLE_ROOT
 
     d = rotation_entries(*angles)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symdiag import (
+    Angles3,
     Branch,
     DegenerateEigenvalues,
     NotDoubleRoot,
@@ -232,9 +233,7 @@ def _scored_double(a, lam, lam3, scale):
         ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
     angles, signs = eig3._assemble_angles(n1, n2, p11, p12,
                                           s2, s3, phi2_mag, 0.0)
-    return angles, SolveReport(selected_signs=signs,
-                               phi1_candidates=candidates, f1_norm=n1,
-                               f2_norm=n2, near_tie=near_tie)
+    return angles, signs, candidates, n1, n2, near_tie
 
 
 class TestTwinScoringPin:
@@ -318,6 +317,95 @@ def test_stage_chain_reproduces_generic_results():
         compared += 1
     assert polished <= 20 and compared + polished == 2000, (compared,
                                                             polished)
+
+
+def test_stage_chain_reproduces_double_root_results():
+    """The public stages and _double_root_lambdas, chained by hand, give
+    diagonalize3's DoubleRoot results bit for bit, report included:
+    diagonalize3 runs no other copy of them and returns DoubleRoot results
+    unpolished."""
+    rng = np.random.default_rng(71)
+    compared = 0
+    for gap in (0.0, 1e-9):
+        for _ in range(1000):
+            a = clustered_sym3(rng, gap)
+            dec = diagonalize3(a)
+            if dec.branch is not Branch.DOUBLE_ROOT:
+                continue
+            coeffs = char_coeffs(a)
+            lam, lam3 = eig3._double_root_lambdas(
+                eigenvalues3(coeffs, compute_pq(coeffs)))
+            lambdas = (lam, lam, lam3)
+            scale = a.scale()
+            angles, signs, candidates, n1, n2, near_tie = degenerate_double(
+                a, lam, lam3, scale)
+            d = rotation_entries(*angles)
+            res = eig3._reconstruction_residual(a, d, lambdas, scale)
+            assert same_bits(dec.lambdas, lambdas), a
+            assert same_bits(dec.angles.as_tuple(), angles.as_tuple()), a
+            assert same_bits(dec.d_entries, d), a
+            report = dec.report
+            assert type(report) is SolveReport, a
+            assert report.selected_signs == signs, a
+            assert same_bits(report.phi1_candidates, candidates), a
+            assert same_bits([report.f1_norm, report.f2_norm], [n1, n2]), a
+            assert same_bits(report.recon_residual, res), a
+            assert report.near_tie is near_tie, a
+            compared += 1
+    # the g = 0 and g = 1e-9 rows route to DoubleRoot but for a handful
+    assert compared >= 1950, compared
+
+
+class TestAssembledAnglesInRange:
+    """_assemble_angles builds Angles3 without its wrap: the magnitudes lie
+    in [0, pi/2], where the wrap only maps -pi/2 to pi/2 and -0.0 to 0.0."""
+
+    def test_minus_half_pi_becomes_half_pi(self):
+        angles, signs = eig3._assemble_angles(1.0, 2.0, 0.3, 0.3,
+                                              -1, 1, 0.5 * math.pi, 0.2)
+        assert signs == (-1, 1)
+        assert type(angles) is Angles3
+        assert same_bits(angles.as_tuple(), (0.3, 0.5 * math.pi, 0.2))
+
+    def test_negative_zero_becomes_positive_zero(self):
+        angles, signs = eig3._assemble_angles(1.0, 2.0, 0.3, 0.3,
+                                              1, -1, 0.2, 0.0)
+        assert signs == (1, -1)
+        assert angles.phi3 == 0.0
+        assert math.copysign(1.0, angles.phi3) == 1.0
+
+    def test_every_result_is_wrapped(self, monkeypatch):
+        # a mix reaching all four branches, and results the polish changed
+        rng = np.random.default_rng(72)
+        mats = [random_sym3(rng) for _ in range(1000)]
+        mats += [structured_sym3(rng) for _ in range(3000)]
+        for gap in (0.0, 1e-9, 1e-6):
+            mats += [clustered_sym3(rng, gap) for _ in range(500)]
+        mats += [SymMat3(2.0, 2.0, 2.0, 0.0, 0.0, 0.0),
+                 SymMat3(-1.0, -1.0, -1.0, 0.0, 0.0, 0.0)]
+        polished = []
+        polish = eig3._polish_angles
+
+        def spy(*args):
+            result = polish(*args)
+            polished.append(result[0])
+            return result
+
+        monkeypatch.setattr(eig3, "_polish_angles", spy)
+        seen = dict.fromkeys(Branch, 0)
+        kept = half_pi = 0
+        for a in mats:
+            del polished[:]
+            dec = diagonalize3(a)
+            angles = dec.angles.as_tuple()
+            assert type(dec.angles) is Angles3, a
+            assert same_bits(angles, Angles3(*angles).as_tuple()), a
+            seen[dec.branch] += 1
+            kept += bool(polished) and dec.angles is polished[0]
+            half_pi += 0.5 * math.pi in angles
+        assert min(seen.values()) >= 2 and kept >= 5, (seen, kept)
+        # angles at the edge of the interval, where the wrap acts on -pi/2
+        assert half_pi >= 5, half_pi
 
 
 # Generic matrices whose phi1 comes from the f2/g2 route while p11, the
@@ -442,7 +530,7 @@ class TestRoundTrip:
 class TestDegenerateDouble:
     def test_already_diagonal_repeated_pair(self):
         a = SymMat3(2.0, 2.0, 1.0, 0.0, 0.0, 0.0)
-        angles, _ = degenerate_double(a, 2.0, 1.0, a.scale())
+        angles = degenerate_double(a, 2.0, 1.0, a.scale())[0]
         assert angles.as_tuple() == (0.0, 0.0, 0.0)
 
     def test_conjugated_about_e2(self):

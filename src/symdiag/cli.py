@@ -30,7 +30,7 @@ import math
 import sys
 import time
 
-from .core import NonFiniteInput, SymMat2, SymMat3
+from .core import Branch, NonFiniteInput, SymMat2, SymMat3
 from .eig2 import diagonalize2
 from .eig3 import diagonalize3, euler_angles
 # jacobi_eigen is not called here: verify and bench call the float entry
@@ -50,6 +50,9 @@ _KEYSET3 = frozenset(_KEYS3)
 
 # json.dumps(x) with default arguments is this encoder's encode(x).
 _encode = json.JSONEncoder().encode
+
+# Branch member -> its name; a dict lookup is cheaper than the .value property.
+_BRANCH_NAMES = {member: member.value for member in Branch}
 
 
 def _dumps(obj):
@@ -150,7 +153,7 @@ def solve_record(rec_id, dim, mat):
         euler = list(euler_angles(dec).as_tuple())
         d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
         columns = [[d11, d21, d31], [d12, d22, d32], [d13, d23, d33]]
-        branch = dec.branch.value
+        branch = _BRANCH_NAMES[dec.branch]
     recon, ortho, eigvec = residuals(mat, dec)
     return {
         "id": rec_id,

@@ -47,7 +47,17 @@ from .core import (
 # tuple.__new__ fills them without running a Python-level __new__.
 _tuple_new = tuple.__new__
 _HALF_PI = 0.5 * math.pi
+_TWO_PI_3 = 2.0 * math.pi / 3.0
 _ZERO_ANGLES = Angles3(0.0, 0.0, 0.0)  # of every TripleRoot result
+# A global name is read faster than an Enum member through its class.
+_GENERIC = Branch.GENERIC
+_TRIPLE_ROOT = Branch.TRIPLE_ROOT
+_DOUBLE_ROOT = Branch.DOUBLE_ROOT
+_ALREADY_DIAGONAL_2D = Branch.ALREADY_DIAGONAL_2D
+# The solve path compares where it would call min or max, which costs more
+# than the comparison.  max(a, x) is written `x if x > a else a` and
+# min(a, x) `x if x < a else a`: both return what the builtin returns, NaN
+# and the first of equal arguments included.
 
 # f-vector norms at or below F_ZERO_EPS * max(1, ||A||_F) are treated as zero.
 F_ZERO_EPS = 1e-14
@@ -106,7 +116,11 @@ class PQ(NamedTuple):
 
 
 def char_coeffs(a: SymMat3) -> CubicCoeffs:
-    """Characteristic-cubic coefficients from the matrix entries."""
+    """Characteristic-cubic coefficients from the matrix entries.
+
+    det(l I - A) = l^3 - b l^2 + c l + d: b is the trace, c the sum of the
+    principal 2x2 minors and d = -det(A) (tests/test_identities.py).
+    """
     a11, a22, a33, a12, a13, a23 = a
     b = a11 + a22 + a33
     c = a11 * a22 + a11 * a33 + a22 * a33 - a12**2 - a13**2 - a23**2
@@ -135,17 +149,23 @@ def pq_expanded(a: SymMat3) -> tuple:
 def compute_pq(coeffs: CubicCoeffs) -> PQ:
     """Cubic invariants p = b^2 - 3c, q = 2b^3 - 9bc - 27d and the angle delta.
 
+    4p^3 - q^2 = 27 (l1 - l2)^2 (l1 - l3)^2 (l2 - l3)^2, so the discriminant
+    marks a repeated root; tests/test_identities.py checks this, and p and q
+    against pq_expanded, symbolically.
     p is a sum of squares, so a tiny negative value is rounding and is
     clamped to zero.  delta is only defined above the triple-root threshold.
     Near a double root q/(2 sqrt(p^3)) legitimately rounds past +-1 and is
     clamped; an excursion beyond CLAMP_SLACK indicates broken input.
     """
     b, c, d = coeffs
-    s = max(1.0, math.sqrt(max(b * b - 2.0 * c, 0.0)))  # CubicCoeffs.scale()
+    # CubicCoeffs.scale(), max(1, sqrt(max(t, 0))): sqrt(t) <= 1 for t <= 1
+    t = b * b - 2.0 * c
+    s = math.sqrt(t) if t > 1.0 else 1.0
     p = b * b - 3.0 * c
     q = 2.0 * b**3 - 9.0 * b * c - 27.0 * d
     if p < 0.0:
-        if p < -1e-12 * max(1.0, b * b + abs(c)):
+        t = b * b + abs(c)
+        if p < -1e-12 * (t if t > 1.0 else 1.0):  # max(1, t)
             raise ValueError(f"p = {p} is negative beyond rounding tolerance")
         p = 0.0
     # triple root: p scales as A^2
@@ -157,9 +177,10 @@ def compute_pq(coeffs: CubicCoeffs) -> PQ:
     # and 1e-12 * scale^6 splits those populations.  The arccos argument
     # is then +-1 up to (possibly large relative) rounding in q; the sign
     # of q decides the endpoint.
-    if 4.0 * p**3 - q * q <= 1e-12 * s**6:
+    p3 = p**3
+    if 4.0 * p3 - q * q <= 1e-12 * s**6:
         return _tuple_new(PQ, (p, q, 0.0 if q >= 0.0 else math.pi, True))
-    arg = q / (2.0 * math.sqrt(p**3))
+    arg = q / (2.0 * math.sqrt(p3))
     if abs(arg) > 1.0:
         if abs(arg) > 1.0 + CLAMP_SLACK:
             raise ValueError(f"arccos argument {arg} out of range beyond slack")
@@ -180,25 +201,31 @@ def eigenvalues3(coeffs: CubicCoeffs, pq: PQ) -> tuple:
     sp = math.sqrt(pq.p)
     third = pq.delta / 3.0
     l1 = (b + 2.0 * sp * math.cos(third)) / 3.0
-    l2 = (b + 2.0 * sp * math.cos(third + 2.0 * math.pi / 3.0)) / 3.0
-    l3 = (b + 2.0 * sp * math.cos(third - 2.0 * math.pi / 3.0)) / 3.0
+    l2 = (b + 2.0 * sp * math.cos(third + _TWO_PI_3)) / 3.0
+    l3 = (b + 2.0 * sp * math.cos(third - _TWO_PI_3)) / 3.0
     return (l1, l2, l3)
 
 
 def _clamp_unit(x, what, slack=CLAMP_SLACK):
     if x < -slack or x > 1.0 + slack:
         raise DomainExcursion(f"{what} = {x} outside [0, 1] beyond slack")
-    return min(max(x, 0.0), 1.0)
+    # min(max(x, 0.0), 1.0): -0.0 and NaN come back unchanged
+    return 0.0 if 0.0 > x else 1.0 if 1.0 < x else x
 
 
 def compute_v(a: SymMat3, lambdas) -> float:
-    """v = cos(phi2)^2, rational in the entries and eigenvalues.
+    """v = cos(phi2)^2, rational in the entries and eigenvalues (on
+    A = D diag(l1, l2, l3) D^T, checked in tests/test_identities.py).
 
     Requires the generic branch: the denominator gaps (l2 - l3)(l3 - l1)
     must be resolvable, else the caller misrouted a degenerate matrix.
     """
     l1, l2, l3 = lambdas
-    tol = DEGENERATE_EPS * max(1.0, abs(l1), abs(l2), abs(l3))
+    # max(1.0, abs(l1), abs(l2), abs(l3)), compared in the same order
+    m1, m2, m3 = abs(l1), abs(l2), abs(l3)
+    m = m1 if m1 > 1.0 else 1.0
+    m = m2 if m2 > m else m
+    tol = DEGENERATE_EPS * (m3 if m3 > m else m)
     if abs(l2 - l3) <= tol or abs(l3 - l1) <= tol:
         raise DegenerateEigenvalues("gap (l2-l3) or (l3-l1) below tolerance")
     num = (a.a12**2 + a.a13**2
@@ -211,7 +238,10 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
     if v <= V_ZERO_EPS:
         return 1.0
     l1, l2, l3 = lambdas
-    tol = DEGENERATE_EPS * max(1.0, abs(l1), abs(l2), abs(l3))
+    m1, m2, m3 = abs(l1), abs(l2), abs(l3)  # as in compute_v
+    m = m1 if m1 > 1.0 else 1.0
+    m = m2 if m2 > m else m
+    tol = DEGENERATE_EPS * (m3 if m3 > m else m)
     if abs(l1 - l2) <= tol:
         raise DegenerateEigenvalues("gap (l1-l2) below tolerance")
     return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v), "w")
@@ -417,7 +447,8 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     # root), while the arcsin route is linear there; swap it in away from
     # pi/4, keeping the side of pi/4 decided by s.
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        half = 0.5 * math.asin(min(abs(2.0 * n1 / gap), 1.0))
+        x = abs(2.0 * n1 / gap)
+        half = 0.5 * math.asin(1.0 if 1.0 < x else x)  # min(x, 1.0)
         phi2_mag = half if phi2_mag <= 0.25 * math.pi else _HALF_PI - half
         s = math.cos(phi2_mag) ** 2
 
@@ -600,8 +631,9 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     coeffs = char_coeffs(a)
     pq = compute_pq(coeffs)
     a11, a22, a33, a12, a13, a23 = a
-    scale = max(1.0, math.sqrt(a11**2 + a22**2 + a33**2  # a.scale()
-                               + 2.0 * (a12**2 + a13**2 + a23**2)))
+    fro = math.sqrt(a11**2 + a22**2 + a33**2
+                    + 2.0 * (a12**2 + a13**2 + a23**2))
+    scale = fro if fro > 1.0 else 1.0  # a.scale(), max(1.0, fro)
 
     if pq.delta is None:
         lam = coeffs.b / 3.0
@@ -609,7 +641,7 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         angles = _ZERO_ANGLES
         n1, n2 = _f_route(a, scale)[2:4]
         signs, candidates, near_tie = (1, 1), (), False
-        branch = Branch.TRIPLE_ROOT
+        branch = _TRIPLE_ROOT
     else:
         lambdas = eigenvalues3(coeffs, pq)
         branch = None
@@ -623,19 +655,19 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
                 pass  # the generic quotients do not fit: reroute
             else:
                 tol_f = F_ZERO_EPS * scale
-                branch = (Branch.ALREADY_DIAGONAL_2D
-                          if n1 <= tol_f or n2 <= tol_f else Branch.GENERIC)
+                branch = (_ALREADY_DIAGONAL_2D
+                          if n1 <= tol_f or n2 <= tol_f else _GENERIC)
         if branch is None:
             lam, lam3 = _double_root_lambdas(lambdas)
             lambdas = (lam, lam, lam3)
             angles, signs, candidates, n1, n2, near_tie = degenerate_double(
                 a, lam, lam3, scale)
-            branch = Branch.DOUBLE_ROOT
+            branch = _DOUBLE_ROOT
 
     d = rotation_entries(*angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)
-    if recon_res > 1e-12 and (branch is Branch.GENERIC
-                              or branch is Branch.ALREADY_DIAGONAL_2D):
+    if recon_res > 1e-12 and (branch is _GENERIC
+                              or branch is _ALREADY_DIAGONAL_2D):
         polished, abs_res = _polish_angles(a, lambdas, angles, scale)
         if abs_res / scale < recon_res:
             angles = polished

@@ -1,5 +1,6 @@
 """Angle recovery for 3x3: v/w quotients, sign resolution, degenerate branches."""
 
+import itertools
 import math
 
 import numpy as np
@@ -354,6 +355,157 @@ def test_stage_chain_reproduces_double_root_results():
             compared += 1
     # the g = 0 and g = 1e-9 rows route to DoubleRoot but for a handful
     assert compared >= 1950, compared
+
+
+# Where a comparison and a builtin min/max could part: signed zeros, a
+# subnormal, 1 +- ulp, values whose squares overflow, infinities and NaN.
+EDGE_GRID = (0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.0 + 2**-52, 1.0 - 2**-53,
+             1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def same_value(x, y):
+    """Equal floats with the same sign of zero, or both NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def pq_with_builtins(coeffs):
+    """compute_pq as written with builtin max calls, the reference of the
+    comparisons that replaced them."""
+    b, c, d = coeffs
+    s = max(1.0, math.sqrt(max(b * b - 2.0 * c, 0.0)))
+    p = b * b - 3.0 * c
+    q = 2.0 * b**3 - 9.0 * b * c - 27.0 * d
+    if p < 0.0:
+        if p < -1e-12 * max(1.0, b * b + abs(c)):
+            raise ValueError(f"p = {p} is negative beyond rounding tolerance")
+        p = 0.0
+    if p <= 9.0 * (1e-12 * s) ** 2:
+        return (p, q, None, False)
+    if 4.0 * p**3 - q * q <= 1e-12 * s**6:
+        return (p, q, 0.0 if q >= 0.0 else math.pi, True)
+    arg = q / (2.0 * math.sqrt(p**3))
+    if abs(arg) > 1.0:
+        if abs(arg) > 1.0 + eig3.CLAMP_SLACK:
+            raise ValueError(f"arccos argument {arg} out of range beyond slack")
+        arg = 1.0 if arg > 0.0 else -1.0
+    return (p, q, math.acos(arg), False)
+
+
+class TestComparisonsKeepBuiltinResults:
+    """The solve path compares where it called min and max.  Each form
+    must return what the builtin returned, NaN and the sign of zero
+    included: min(x, 1.0) is `1.0 if 1.0 < x else x`, since
+    `x if x < 1.0 else 1.0` turns NaN into 1.0."""
+
+    @pytest.mark.parametrize("slack", [eig3.CLAMP_SLACK, 1e-5])
+    def test_clamp_unit(self, slack):
+        kept = 0
+        for x in EDGE_GRID + (-slack, 1.0 + slack):
+            try:
+                got = eig3._clamp_unit(x, "v", slack)
+            except eig3.DomainExcursion:
+                assert x < -slack or x > 1.0 + slack, x
+                continue
+            assert same_value(got, min(max(x, 0.0), 1.0)), x
+            kept += 1
+        assert kept == 11, kept
+
+    def test_compute_pq_scale_and_tolerance(self):
+        for coeffs in itertools.product(EDGE_GRID, repeat=3):
+            try:
+                want = pq_with_builtins(coeffs)
+            except (ArithmeticError, ValueError) as e:
+                with pytest.raises(type(e)) as info:
+                    compute_pq(eig3.CubicCoeffs(*coeffs))
+                assert str(info.value) == str(e), coeffs
+                continue
+            got = compute_pq(eig3.CubicCoeffs(*coeffs))
+            assert type(got) is eig3.PQ, coeffs
+            # delta may be None and double_root is a bool
+            assert all(w is g or type(w) is type(g) is float
+                       and same_value(w, g)
+                       for w, g in zip(want, got)), (coeffs, want, got)
+
+    @pytest.mark.parametrize("stage", ["v", "w"])
+    def test_gap_tolerance(self, stage):
+        a = SymMat3(0.5, 0.25, -0.3, 0.1, 0.2, -0.4)
+        raised = 0
+        for lambdas in itertools.product(EDGE_GRID, repeat=3):
+            l1, l2, l3 = lambdas
+            tol = eig3.DEGENERATE_EPS * max(1.0, abs(l1), abs(l2), abs(l3))
+            if stage == "v":
+                want = abs(l2 - l3) <= tol or abs(l3 - l1) <= tol
+            else:
+                want = abs(l1 - l2) <= tol
+            try:
+                compute_v(a, lambdas) if stage == "v" else compute_w(
+                    a, lambdas, 0.5)
+            except DegenerateEigenvalues:
+                got = True
+            except (ArithmeticError, ValueError):
+                got = False
+            else:
+                got = False
+            assert got is want, lambdas
+            raised += got
+        assert raised >= 100, raised
+
+    def test_diagonalize3_scale(self, monkeypatch):
+        scales = []
+        residual = eig3._reconstruction_residual
+
+        def spy(*args):
+            scales.append(args[3])
+            return residual(*args)
+
+        monkeypatch.setattr(eig3, "_reconstruction_residual", spy)
+        finite = [x for x in EDGE_GRID if math.isfinite(x)]
+        rows = [(x, 0.0, 0.0, 0.0, 0.0, 0.0) for x in finite]
+        rows += [(0.0, 0.0, 0.0, x, 0.0, 0.0) for x in finite]
+        rows += [(x,) * 6 for x in finite]
+        solved = 0
+        for row in rows:
+            a11, a22, a33, a12, a13, a23 = row
+            try:
+                want = max(1.0, math.sqrt(a11**2 + a22**2 + a33**2
+                                          + 2.0 * (a12**2 + a13**2 + a23**2)))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    diagonalize3(SymMat3(*row))
+                continue
+            del scales[:]
+            diagonalize3(SymMat3(*row))
+            assert scales and all(same_value(s, want) for s in scales), row
+            solved += 1
+        # all but the six rows holding +-1e300, whose squares overflow
+        assert solved == 3 * len(finite) - 6, solved
+
+    def test_degenerate_double_arcsine_argument(self, monkeypatch):
+        seen = []
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def asin(self, x):
+                seen.append(x)
+                return math.asin(x)
+
+        monkeypatch.setattr(eig3, "math", RecordingMath())
+        lam, lam3 = 2.0, 0.0
+        for x in EDGE_GRID:
+            # a11 = lam3 puts phi2 at pi/2, where the arcsine swap runs
+            a = tuple.__new__(SymMat3, (0.0, 0.3, 0.7, x, 0.0, -0.2))
+            del seen[:]
+            try:
+                degenerate_double(a, lam, lam3, 2.0)
+            except (ArithmeticError, ValueError):
+                pass  # an angle that is not finite; the argument was seen
+            n1 = math.hypot(a.a12, -a.a13)
+            want = min(abs(2.0 * n1 / (lam - lam3)), 1.0)
+            assert len(seen) == 1 and same_value(seen[0], want), (x, seen)
 
 
 class TestAssembledAnglesInRange:

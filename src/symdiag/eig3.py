@@ -16,8 +16,12 @@ correction, the twin rule that keeps the signs right when an angle is
 wrapped by pi (_half_turn_apart).  The generic branch recovers the digits
 arccos(sqrt(.)) loses near 0 and pi/2 by one Jacobi correction
 (_polish_angles); the double-root branch, which is not corrected, by its
-own arcsine swap.  resolve_signs and degenerate_double return the
-SolveReport fields as a tuple; diagonalize3 builds each solve's one report.
+own arcsine swap.  Every squared cosine is clamped to [0, 1] (_clamp_unit)
+rather than rejected, so compute_pq's classification alone picks the
+branch: a quotient made noisy by rounding gives a roughly right D, which
+the correction repairs on the generic branch.  resolve_signs and
+degenerate_double return the SolveReport fields as a tuple; diagonalize3
+builds each solve's one report.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -64,8 +68,8 @@ F_ZERO_EPS = 1e-14
 DEGENERATE_EPS = 1e-12
 # Below V_ZERO_EPS the w quotient is rounding noise; the v = 0 rule gives w = 1.
 V_ZERO_EPS = 1e-12
-# Domain arguments (arccos operands, squared cosines) may round past their
-# boundary by at most CLAMP_SLACK; anything worse means misclassification.
+# compute_pq's arccos argument may round past +-1 by at most CLAMP_SLACK;
+# anything worse means broken input.  The squared cosines are clamped.
 CLAMP_SLACK = 1e-9
 # Two sign combinations tie when their wrapped differences are this close.
 TIE_EPS = 1e-12
@@ -77,17 +81,8 @@ class DegenerateEigenvalues(ValueError):
     """An eigenvalue gap needed by the generic branch is numerically zero."""
 
 
-class BothFVectorsZero(ValueError):
-    """f1 = f2 = 0: the matrix is diagonal with two equal diagonal entries."""
-
-
 class NotDoubleRoot(ValueError):
     """degenerate_double was called with all three eigenvalues equal."""
-
-
-class DomainExcursion(ValueError):
-    """A squared cosine left [0, 1] beyond slack: the branch classification
-    does not fit this matrix."""
 
 
 class CubicCoeffs(NamedTuple):
@@ -205,10 +200,10 @@ def eigenvalues3(coeffs: CubicCoeffs, pq: PQ) -> tuple:
     return (l1, l2, l3)
 
 
-def _clamp_unit(x, what, slack=CLAMP_SLACK):
-    if x < -slack or x > 1.0 + slack:
-        raise DomainExcursion(f"{what} = {x} outside [0, 1] beyond slack")
-    # min(max(x, 0.0), 1.0): -0.0 and NaN come back unchanged
+def _clamp_unit(x):
+    """x clamped to [0, 1]: a quotient the paper reads as a squared cosine
+    that rounding put past an endpoint.  min(max(x, 0.0), 1.0), so -0.0
+    and NaN come back unchanged."""
     return 0.0 if 0.0 > x else 1.0 if 1.0 < x else x
 
 
@@ -229,7 +224,7 @@ def compute_v(a: SymMat3, lambdas) -> float:
         raise DegenerateEigenvalues("gap (l2-l3) or (l3-l1) below tolerance")
     num = (a.a12**2 + a.a13**2
            + (a.a11 - l3) * (a.a11 + l3 - l1 - l2))
-    return _clamp_unit(num / ((l2 - l3) * (l3 - l1)), "v")
+    return _clamp_unit(num / ((l2 - l3) * (l3 - l1)))
 
 
 def compute_w(a: SymMat3, lambdas, v) -> float:
@@ -243,7 +238,7 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
     tol = DEGENERATE_EPS * (m3 if m3 > m else m)
     if abs(l1 - l2) <= tol:
         raise DegenerateEigenvalues("gap (l1-l2) below tolerance")
-    return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v), "w")
+    return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v))
 
 
 def _f_route(a: SymMat3, scale):
@@ -398,16 +393,14 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     _half_turn_apart.  The magnitudes are taken as they come; near 0 or
     pi/2 the arccos of a square root amplifies rounding in v and w, and
     diagonalize3's Jacobi correction recovers what that costs the
-    residual.  Both f-vectors zero means the matrix is diagonal with a
-    repeated entry and must go to the double-root branch.  scale is
+    residual.  With both f-vectors at or below tol_f both routes are NaN
+    and phi1 = 0; such a matrix has two eigenvalues within ~3e-14 * scale,
+    so compute_pq classifies it DoubleRoot before it gets here.  scale is
     a.scale().  Returns the angles and the SolveReport fields but the
     residual: (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
     near_tie); diagonalize3 builds the one report of the solve.
     """
     _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
-    if n1 <= tol_f and n2 <= tol_f:
-        raise BothFVectorsZero("matrix is diagonal with two equal entries")
-
     phi2_mag = math.acos(math.sqrt(v))
     phi3_mag = math.acos(math.sqrt(w))
     l1, l2, l3 = lambdas
@@ -434,9 +427,7 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     gap = lam - lam3
     if abs(gap) <= DEGENERATE_EPS * scale:
         raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
-    # a near-double matrix legitimately pushes s outside [0, 1] by O(gap),
-    # not just by rounding, hence the wider slack than the generic branch
-    s = _clamp_unit((a.a11 - lam3) / gap, "s", 1e-5)
+    s = _clamp_unit((a.a11 - lam3) / gap)
     phi2_mag = math.acos(math.sqrt(s))
     _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
 
@@ -578,10 +569,12 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     """Full closed-form decomposition A = D . diag(lambdas) . D^T.
 
     Classifies into triple-root, double-root and generic branches from the
-    cubic invariants; a generic-branch failure (both f-vectors zero, or an
-    eigenvalue gap below tolerance) reroutes to the double-root handling.
-    A Generic or AlreadyDiagonal2D result whose relative residual exceeds
-    1e-12 goes through the Jacobi correction (_polish_angles), whose angles
+    cubic invariants, and nothing is rerouted or caught: compute_v and
+    compute_w clamp their quotients, and outside DoubleRoot the
+    discriminant threshold keeps every eigenvalue gap above ~1e-8 * scale,
+    far from their DegenerateEigenvalues tolerance.  A Generic or
+    AlreadyDiagonal2D result whose relative residual exceeds 1e-12 goes
+    through the Jacobi correction (_polish_angles), whose angles
     and eigenvalues are kept when they lower it.  DoubleRoot and TripleRoot
     results are returned uncorrected: a correction would fire on every
     DoubleRoot result of a gap near 1e-9, whose residual comes from
@@ -605,25 +598,20 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         branch = _TRIPLE_ROOT
     else:
         lambdas = eigenvalues3(coeffs, pq)
-        branch = None
-        if not pq.double_root:
-            try:
-                v = compute_v(a, lambdas)
-                w = compute_w(a, lambdas, v)
-                angles, signs, candidates, n1, n2, near_tie = resolve_signs(
-                    a, lambdas, v, w, scale)
-            except (BothFVectorsZero, DegenerateEigenvalues, DomainExcursion):
-                pass  # the generic quotients do not fit: reroute
-            else:
-                tol_f = F_ZERO_EPS * scale
-                branch = (_ALREADY_DIAGONAL_2D
-                          if n1 <= tol_f or n2 <= tol_f else _GENERIC)
-        if branch is None:
+        if pq.double_root:
             lam, lam3 = _double_root_lambdas(lambdas)
             lambdas = (lam, lam, lam3)
             angles, signs, candidates, n1, n2, near_tie = degenerate_double(
                 a, lam, lam3, scale)
             branch = _DOUBLE_ROOT
+        else:
+            v = compute_v(a, lambdas)
+            w = compute_w(a, lambdas, v)
+            angles, signs, candidates, n1, n2, near_tie = resolve_signs(
+                a, lambdas, v, w, scale)
+            tol_f = F_ZERO_EPS * scale
+            branch = (_ALREADY_DIAGONAL_2D
+                      if n1 <= tol_f or n2 <= tol_f else _GENERIC)
 
     d = rotation_entries(*angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)

@@ -221,7 +221,7 @@ def _scored_double(a, lam, lam3, scale):
     """degenerate_double scoring both signs of phi2 with the selection above."""
     if abs(lam - lam3) <= eig3.DEGENERATE_EPS * scale:
         raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
-    s = eig3._clamp_unit((a.a11 - lam3) / (lam - lam3), "s", slack=1e-5)
+    s = eig3._clamp_unit((a.a11 - lam3) / (lam - lam3))
     phi2_mag = math.acos(math.sqrt(s))
     _, _, n1, n2, tol_f, cs1, cs2 = eig3._f_route(a, scale)
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
@@ -404,16 +404,11 @@ class TestComparisonsKeepBuiltinResults:
 
     @pytest.mark.parametrize("slack", [eig3.CLAMP_SLACK, 1e-5])
     def test_clamp_unit(self, slack):
-        kept = 0
-        for x in EDGE_GRID + (-slack, 1.0 + slack):
-            try:
-                got = eig3._clamp_unit(x, "v", slack)
-            except eig3.DomainExcursion:
-                assert x < -slack or x > 1.0 + slack, x
-                continue
-            assert same_value(got, min(max(x, 0.0), 1.0)), x
-            kept += 1
-        assert kept == 11, kept
+        # clamps every excursion, inside the slack or far past it, and
+        # raises on none
+        for x in EDGE_GRID + (-slack, 1.0 + slack, -2.0 * slack,
+                              1.0 + 2.0 * slack):
+            assert same_value(eig3._clamp_unit(x), min(max(x, 0.0), 1.0)), x
 
     def test_compute_pq_scale_and_tolerance(self):
         for coeffs in itertools.product(EDGE_GRID, repeat=3):

@@ -29,8 +29,6 @@ from .core import (
 from .eig2 import diagonalize2, eigenvalues2, rotation_angle2
 from .eig3 import (
     CubicCoeffs,
-    DegenerateEigenvalues,
-    NotDoubleRoot,
     PQ,
     char_coeffs,
     compute_pq,
@@ -58,10 +56,9 @@ __all__ = [
     "compose_rotation", "rot2", "rot3x", "rot3y", "rot3z", "wrap_half_pi",
     "wrap_pi", "wrapped_diff_mod_pi",
     "diagonalize2", "eigenvalues2", "rotation_angle2",
-    "CubicCoeffs", "DegenerateEigenvalues", "NotDoubleRoot", "PQ",
-    "char_coeffs", "compute_pq", "compute_v", "compute_w",
-    "degenerate_double", "diagonalize3", "eigenvalues3", "euler_angles",
-    "f_vectors", "g_vectors", "pq_expanded",
+    "CubicCoeffs", "PQ", "char_coeffs", "compute_pq", "compute_v",
+    "compute_w", "degenerate_double", "diagonalize3", "eigenvalues3",
+    "euler_angles", "f_vectors", "g_vectors", "pq_expanded",
     "ComplexRootsDetected", "cubic_roots_reference", "jacobi_eigen",
     "reconstruct", "residuals",
 ]

@@ -9,7 +9,7 @@ import math
 
 from .core import EigenDecomp2, SymMat2, wrap_half_pi
 
-# |a11 - a22| and |a12| both below DEGENERACY_EPS * max(1, ||A||_F) means the
+# |a11 - a22| and |a12| both below DEGENERACY_EPS * max|a_ij| means the
 # matrix is treated as a scalar multiple of the identity: phi = 0.
 DEGENERACY_EPS = 1e-14
 
@@ -34,7 +34,7 @@ def rotation_angle2(a: SymMat2):
     eigenvalue convention (the plain single-argument arctangent would, but
     divides by zero when a11 = a22).
     """
-    eps = DEGENERACY_EPS * a.scale()
+    eps = DEGENERACY_EPS * max(abs(a.a11), abs(a.a22), abs(a.a12))
     if abs(a.a11 - a.a22) <= eps and abs(a.a12) <= eps:
         return 0.0
     s = _sign(a.a11 - a.a22)

@@ -21,7 +21,7 @@ rather than rejected, so compute_pq's classification alone picks the
 branch: a quotient made noisy by rounding gives a roughly right D, which
 the correction repairs on the generic branch.  resolve_signs and
 degenerate_double return the SolveReport fields as a tuple; diagonalize3
-builds each solve's one report.
+builds each solve's one report, on A normalized as diagonalize3 says.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -62,10 +62,8 @@ _ALREADY_DIAGONAL_2D = Branch.ALREADY_DIAGONAL_2D
 # min(a, x) `x if x < a else a`: both return what the builtin returns, NaN
 # and the first of equal arguments included.
 
-# f-vector norms at or below F_ZERO_EPS * max(1, ||A||_F) are treated as zero.
+# f-vector norms at or below F_ZERO_EPS * scale are treated as zero.
 F_ZERO_EPS = 1e-14
-# Eigenvalue gaps below DEGENERATE_EPS * scale poison the v/w quotients.
-DEGENERATE_EPS = 1e-12
 # Below V_ZERO_EPS the w quotient is rounding noise; the v = 0 rule gives w = 1.
 V_ZERO_EPS = 1e-12
 # compute_pq's arccos argument may round past +-1 by at most CLAMP_SLACK;
@@ -75,14 +73,6 @@ CLAMP_SLACK = 1e-9
 TIE_EPS = 1e-12
 # A non-tied runner-up inside NEAR_TIE_EPS of the winner is surfaced.
 NEAR_TIE_EPS = 1e-6
-
-
-class DegenerateEigenvalues(ValueError):
-    """An eigenvalue gap needed by the generic branch is numerically zero."""
-
-
-class NotDoubleRoot(ValueError):
-    """degenerate_double was called with all three eigenvalues equal."""
 
 
 class CubicCoeffs(NamedTuple):
@@ -211,17 +201,9 @@ def compute_v(a: SymMat3, lambdas) -> float:
     """v = cos(phi2)^2, rational in the entries and eigenvalues (on
     A = D diag(l1, l2, l3) D^T, checked in tests/test_identities.py).
 
-    Requires the generic branch: the denominator gaps (l2 - l3)(l3 - l1)
-    must be resolvable, else the caller misrouted a degenerate matrix.
+    Unchanged by A -> 2^-e A and A -> A - m I; a zero gap divides by 0.
     """
     l1, l2, l3 = lambdas
-    # max(1.0, abs(l1), abs(l2), abs(l3)), compared in the same order
-    m1, m2, m3 = abs(l1), abs(l2), abs(l3)
-    m = m1 if m1 > 1.0 else 1.0
-    m = m2 if m2 > m else m
-    tol = DEGENERATE_EPS * (m3 if m3 > m else m)
-    if abs(l2 - l3) <= tol or abs(l3 - l1) <= tol:
-        raise DegenerateEigenvalues("gap (l2-l3) or (l3-l1) below tolerance")
     num = (a.a12**2 + a.a13**2
            + (a.a11 - l3) * (a.a11 + l3 - l1 - l2))
     return _clamp_unit(num / ((l2 - l3) * (l3 - l1)))
@@ -232,12 +214,6 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
     if v <= V_ZERO_EPS:
         return 1.0
     l1, l2, l3 = lambdas
-    m1, m2, m3 = abs(l1), abs(l2), abs(l3)  # as in compute_v
-    m = m1 if m1 > 1.0 else 1.0
-    m = m2 if m2 > m else m
-    tol = DEGENERATE_EPS * (m3 if m3 > m else m)
-    if abs(l1 - l2) <= tol:
-        raise DegenerateEigenvalues("gap (l1-l2) below tolerance")
     return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v))
 
 
@@ -396,7 +372,7 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     residual.  With both f-vectors at or below tol_f both routes are NaN
     and phi1 = 0; such a matrix has two eigenvalues within ~3e-14 * scale,
     so compute_pq classifies it DoubleRoot before it gets here.  scale is
-    a.scale().  Returns the angles and the SolveReport fields but the
+    ||A||_F.  Returns the angles and the SolveReport fields but the
     residual: (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
     near_tie); diagonalize3 builds the one report of the solve.
     """
@@ -420,13 +396,11 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
     rule of _assemble_angles).  phi1 comes from the f/g routes, with the
     generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
-    v = cos(phi2)^2 and w = 1.  scale is max(1, ||A||_F).  Returns (angles,
+    v = cos(phi2)^2 and w = 1.  scale is ||A||_F.  Returns (angles,
     selected_signs, phi1_candidates, f1_norm, f2_norm, near_tie) as
     resolve_signs does, with the one candidate (1, 1) and near_tie False.
     """
     gap = lam - lam3
-    if abs(gap) <= DEGENERATE_EPS * scale:
-        raise NotDoubleRoot("repeated and distinct eigenvalues coincide")
     s = _clamp_unit((a.a11 - lam3) / gap)
     phi2_mag = math.acos(math.sqrt(s))
     _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
@@ -565,14 +539,27 @@ def _reconstruction_residual(a: SymMat3, d, lambdas, scale):
                      + 2.0 * (r12 * r12 + r13 * r13 + r23 * r23)) / scale
 
 
+def _normalized(x):
+    """e, x times 2^-e (largest |entry| in [1, 2)) and its ||.||_F^2."""
+    e = math.frexp(max(map(abs, x)))[1] - 1
+    y = _tuple_new(SymMat3, [math.ldexp(v, -e) for v in x])
+    return e, y, (y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+                  + 2.0 * (y[3] * y[3] + y[4] * y[4] + y[5] * y[5]))
+
+
 def diagonalize3(a: SymMat3) -> EigenDecomp3:
     """Full closed-form decomposition A = D . diag(lambdas) . D^T.
 
+    Normalizes once: outside 1 <= ||A||_F^2 <= 2^320, A is scaled by 2^-e1;
+    where t^2 >= 3 (1 - 1/256) ||A||_F^2 for the trace t, m = t/3 comes off
+    the diagonal and the rest, scaled by 2^-e2, is solved, or is a TripleRoot
+    at m below compute_pq's triple-root bound.  D is unchanged; eigenvalues
+    and f-vector norms map back as (m + l 2^e2) 2^e1, or overflow.
     Classifies into triple-root, double-root and generic branches from the
     cubic invariants, and nothing is rerouted or caught: compute_v and
     compute_w clamp their quotients, and outside DoubleRoot the
     discriminant threshold keeps every eigenvalue gap above ~1e-8 * scale,
-    far from their DegenerateEigenvalues tolerance.  A Generic or
+    so neither divides by 0.  A Generic or
     AlreadyDiagonal2D result whose relative residual exceeds 1e-12 goes
     through the Jacobi correction (_polish_angles), whose angles
     and eigenvalues are kept when they lower it.  DoubleRoot and TripleRoot
@@ -580,23 +567,35 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     DoubleRoot result of a gap near 1e-9, whose residual comes from
     averaging the two closest roots (README, Accuracy).  resolve_signs or
     degenerate_double returns the report fields, and the solve's one
-    SolveReport is built here with the final residual.
+    SolveReport is built here with the residual relative to the matrix solved.
     """
-    coeffs = char_coeffs(a)
-    pq = compute_pq(coeffs)
     a11, a22, a33, a12, a13, a23 = a
-    fro = math.sqrt(a11**2 + a22**2 + a33**2
-                    + 2.0 * (a12**2 + a13**2 + a23**2))
-    scale = fro if fro > 1.0 else 1.0  # a.scale(), max(1.0, fro)
+    fro2 = (a11 * a11 + a22 * a22 + a33 * a33
+            + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23))
+    e1, e2, m, triple = 0, 0, -0.0, False  # l + -0.0 is l, even l = -0.0
+    if not 1.0 <= fro2 <= 2.0 ** 320:
+        e1, a, fro2 = _normalized(a)
+        a11, a22, a33, a12, a13, a23 = a
+    t = a11 + a22 + a33
+    if t * t >= 3.0 * (1.0 - 1.0 / 256.0) * fro2:  # >= for the zero matrix
+        lam = t / 3.0
+        e, b, fro2_b = _normalized((a11 - lam, a22 - lam, a33 - lam,
+                                    a12, a13, a23))
+        # compute_pq's p <= 9e-24 ||A||_F^2, as p = 1.5 ||A - lam I||_F^2
+        triple = math.ldexp(fro2_b, 2 * e) <= 6e-24 * fro2
+        if not triple:
+            m, e2, a, fro2 = lam, e, b, fro2_b
+    scale = math.sqrt(fro2) or 1.0  # 0 only for the zero matrix
 
-    if pq.delta is None:
-        lam = coeffs.b / 3.0
+    if triple:
         lambdas = (lam, lam, lam)
         angles = _ZERO_ANGLES
         n1, n2 = _f_route(a, scale)[2:4]
         signs, candidates, near_tie = (1, 1), (), False
         branch = _TRIPLE_ROOT
     else:
+        coeffs = char_coeffs(a)
+        pq = compute_pq(coeffs)
         lambdas = eigenvalues3(coeffs, pq)
         if pq.double_root:
             lam, lam3 = _double_root_lambdas(lambdas)
@@ -622,6 +621,9 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             # abs_res / scale: the corrected d's _reconstruction_residual
             angles, lambdas, recon_res = corrected, lams, abs_res / scale
             d = rotation_entries(*angles)
+    if e1 or m:  # normalized; m = t/3 != 0 wherever it was shifted off
+        lambdas = [math.ldexp(m + math.ldexp(v, e2), e1) for v in lambdas]
+        n1, n2 = math.ldexp(n1, e1 + e2), math.ldexp(n2, e1 + e2)
     report = _tuple_new(SolveReport, (signs, candidates, n1, n2, recon_res,
                                       near_tie))
     return EigenDecomp3(lambdas[0], lambdas[1], lambdas[2], angles, d,

@@ -38,7 +38,8 @@ GOLDEN_EXPECTED = DATA / "golden_expected.jsonl"
 # Three twin-rule reproducers, then 297 rows of
 # numpy.random.default_rng(9).integers(-3, 4, (297, 6)).
 INTEGER_INPUT = DATA / "integer_input.jsonl"
-# Finite entries whose squares overflow a double: the solver raises on it.
+# Finite entries whose squares overflow a double: diagonalize3 solves it,
+# but oracle.residuals squares the entries and raises.
 HUGE_RECORD = json.dumps({"id": "huge", "a11": 1e200, "a22": 2e200,
                           "a33": 3e200, "a12": 1e199, "a13": 2e199,
                           "a23": 3e199})

@@ -102,3 +102,19 @@ class TestDiagonalize2:
             assert recon < 1e-14
             assert ortho < 1e-14
             assert max(eigvec) < 1e-14
+
+    @pytest.mark.parametrize("entries", [(1e-20, 2e-20, 1e-20),
+                                         (1e200, 2e200, 1e200)])
+    def test_degeneracy_judged_at_the_matrix_scale(self, entries):
+        # a max(1, ||A||_F) tolerance called the first matrix a multiple of
+        # the identity (phi = 0, relative residual 0.63), and squaring the
+        # entries of the second overflowed
+        dec = diagonalize2(SymMat2(*entries))
+        # checked on A / 2^e, exact, so that no square overflows
+        s = math.ldexp(1.0, -math.frexp(max(entries))[1])
+        a = np.array([[entries[0], entries[2]], [entries[2], entries[1]]]) * s
+        lam = np.array([dec.lambda1, dec.lambda2]) * s
+        recon = dec.d @ np.diag(lam) @ dec.d.T
+        assert np.linalg.norm(recon - a) <= 1e-14 * np.linalg.norm(a)
+        want = np.linalg.eigvalsh(a)
+        assert np.max(np.abs(np.sort(lam) - want)) <= 1e-14 * abs(want[1])

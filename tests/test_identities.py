@@ -232,3 +232,58 @@ def test_derotated_rotation_gives_the_read_back_angles():
     rows = [list(d.row(i)) for i in range(3)]
     derotated = sympy.Matrix(_derotated(rows, C1, S1))
     assert all(vanishes_on_the_circle(x) for x in derotated - ry * rz)
+
+
+# diagonalize3 solves 2^-e A, and A - m I where the trace dominates: a
+# shift m and a scale k = 2^-e, with samples.
+SHIFT, SCALE = sympy.symbols("m k")
+SHIFT_SAMPLE, SCALE_SAMPLE = 0.75, 0.25
+
+
+def _shifted(entries, m):
+    a11, a22, a33, a12, a13, a23 = entries
+    return (a11 - m, a22 - m, a33 - m, a12, a13, a23)
+
+
+def _pq(entries):
+    pq = compute_pq(char_coeffs(tuple.__new__(SymMat3, entries)))
+    return expr(pq.p), expr(pq.q)
+
+
+def test_compute_pq_under_shift_and_scale():
+    """p and q of A - m I are those of A, and p and q of k A are k^2 p and
+    k^3 q: the cubic's invariants see the spread of the spectrum, not its
+    mean, and the classification on 2^-e A is that on A."""
+    a = traced_mat(ENTRIES, ENTRY_SAMPLE)
+    p, q = _pq(a)
+    m, k = Traced(SHIFT, SHIFT_SAMPLE), Traced(SCALE, SCALE_SAMPLE)
+    p_m, q_m = _pq(_shifted(a, m))
+    assert sympy.expand(p_m - p) == 0
+    assert sympy.expand(q_m - q) == 0
+    p_k, q_k = _pq([k * x for x in a])
+    assert sympy.expand(p_k - SCALE**2 * p) == 0
+    assert sympy.expand(q_k - SCALE**3 * q) == 0
+
+
+def _same_quotient(x, y):
+    (nx, dx), (ny, dy) = quotient_of(x), quotient_of(y)
+    return sympy.expand(nx * dy - ny * dx) == 0
+
+
+def test_angle_quotients_under_shift_and_scale():
+    """compute_v's and compute_w's quotients are unchanged by
+    (A, l) -> (A - m I, l - m) and by (A, l) -> (k A, k l): the angles
+    of the normalized matrix are those of A.  The entries are generic
+    symbols, sampled at a conjugated diagonal so that v and w lie inside
+    (0, 1), where the clamp passes the quotient through."""
+    a = traced_mat(ENTRIES, conjugated_symbols()[1])
+    lambdas = tuple(Traced(s, x) for s, x in zip(LAMBDAS, LAMBDA_SAMPLE))
+    v = compute_v(a, lambdas)
+    w = compute_w(a, lambdas, v)
+    m, k = Traced(SHIFT, SHIFT_SAMPLE), Traced(SCALE, SCALE_SAMPLE)
+    for b, mu in ((_shifted(a, m), [x - m for x in lambdas]),
+                  ([k * x for x in a], [k * x for x in lambdas])):
+        b = tuple.__new__(SymMat3, b)
+        v_b = compute_v(b, mu)
+        assert _same_quotient(v_b, v)
+        assert _same_quotient(compute_w(b, mu, v_b), w)

@@ -1,13 +1,19 @@
-"""Routing that never raises.
+"""Routing that never raises, on a normalized matrix.
 
-diagonalize3 picks its branch from compute_pq's classification alone.  The
-squared cosines v, w and the double-root s are clamped to [0, 1] when
+diagonalize3 picks its branch from compute_pq's classification alone, on
+a matrix it has scaled exactly by a power of two (and, when the trace
+dominates, shifted by trace/3) so that the classification is relative.
+The squared cosines v, w and the double-root s are clamped to [0, 1] when
 rounding puts them past an endpoint, and the Jacobi correction repairs
 the Generic result a noisy quotient gives.  The reproducers below raised
 or were rerouted to DoubleRoot, averaging two distinct eigenvalues, while
-an excursion past a clamp slack raised; the property checks that no
-finite input in a wide range raises.
+an excursion past a clamp slack raised; the normalized reproducers were
+misclassified, or overflowed, before the normalization.  The property
+checks over the whole double range that no finite input raises and that
+every result off the double-root branch has accurate eigenvalues.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -52,7 +58,60 @@ def test_reproducer_ends_generic_and_accurate(name):
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10 * norm2
 
 
-BOUND = 1e50
+def assert_eigenvalues_accurate(row, dec):
+    """Eigenvalues within 1e-10 ||A||_2 of LAPACK's, both taken on A / 2^e
+    with 2^e above its largest |entry|: exact, and no square overflows.
+    An eigenvalue in the subnormal range carries fewer bits, so the
+    rounding of the exact one to a double, 2^-1075 (2^(-1075 - e) on
+    A / 2^e), is allowed on top.  The reference is eigh's: eigvalsh's
+    root-free QR squares the off-diagonal, and on TINY_SQUARES, where that
+    square is subnormal, it is 1e-8 off."""
+    e = math.frexp(max(abs(x) for x in row))[1]
+    want = np.linalg.eigh(dense([math.ldexp(x, -e) for x in row]))[0]
+    got = sorted(math.ldexp(x, -e) for x in dec.lambdas)
+    norm2 = max(abs(want[0]), abs(want[-1]))
+    tol = 1e-10 * norm2 + math.ldexp(1.0, -1075 - e)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= tol, (
+        row, dec.branch)
+
+
+NORMALIZED_REPRODUCERS = {
+    # gaps 0.007 and 0.0098 against a mean of 2.77: the max(1, ||A||_F)
+    # double-root threshold called it DoubleRoot, eigenvalue error 1.4e-3
+    "mean-dominated": (2.7763296841185916, 2.7689457485848834,
+                       2.759939963001698, 3.865223933634611e-18,
+                       -1.320598838334345e-17, -0.001923035538955658),
+    # a double root 63 and a third eigenvalue 5.6e-5 below it, whose cubic
+    # the absolute thresholds misjudged: eigenvalue error 8.2e-10 ||A||_2
+    "diagonal-double": (63.0, 63.0, 62.999943858046386, 0.0, 0.0, 0.0),
+    # a row of U[-1, 1] entries times 1e200: a ** power overflowed
+    "huge": (-2.7450000000000003e+199, 4.363e+199, 8.73e+198, -6.152e+199,
+             3.3489999999999997e+199, -1.507e+199),
+    # the same row times 1e-200: a TripleRoot, eigenvalue error 0.91
+    "tiny": (-2.745e-201, 4.363e-201, 8.73e-202, -6.152e-201,
+             3.3489999999999994e-201, -1.507e-201),
+    # 1234.5 I + 10^-4 U: a DoubleRoot, eigenvalue error 4.2e-7
+    "mean-shift": (1234.5003, 1234.4998, 1234.5001, 0.0005, -0.0003, 0.0002),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_REPRODUCERS))
+def test_normalized_reproducer_eigenvalues(name):
+    row = NORMALIZED_REPRODUCERS[name]
+    assert_eigenvalues_accurate(row, diagonalize3(SymMat3(*row)))
+
+
+def test_eigenvalue_beyond_the_double_range_overflows():
+    # the eigenvalues are 3e308, 0 and 0: no finite result exists
+    with pytest.raises(OverflowError):
+        diagonalize3(SymMat3(*(1e308,) * 6))
+
+
+TINY_SQUARES = (1e-159, 0.0, 0.0, 0.0, 0.1, 1e-160)
+# eigenvalues +-sqrt(2) 5e-324 and 0, which round to +-5e-324 and 0
+SUBNORMAL_EIGENVALUES = (0.0, 0.0, 0.0, 0.0, 5e-324, 5e-324)
+# ||A||_2 <= 3 max|a_ij| stays finite
+BOUND = 1e307
 ENTRIES = st.one_of(
     st.floats(-BOUND, BOUND),
     st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, 5e-324)))
@@ -60,11 +119,21 @@ ENTRIES = st.one_of(
 
 @st.composite
 def matrices(draw):
-    """Six entries of magnitude <= 1e50, as drawn, nearly block-diagonal
-    (a12, a13 times 10^-k), with nearly equal diagonal entries, or graded
-    (a_ij = x_ij * 10^(e_i + e_j), x_ij in [-1, 1])."""
+    """Six entries of magnitude <= 1e307, as drawn, nearly block-diagonal
+    (a12, a13 times 10^-k), with nearly equal diagonal entries, graded
+    (a_ij = x_ij * 10^(e_i + e_j), x_ij in [-1, 1]), tiny (U[-1, 1] times
+    10^-k, k <= 320) or mean-shifted (c I + 10^-i U[-1, 1], |c| in
+    [1, 1e4])."""
     shape = draw(st.sampled_from(("plain", "near-block",
-                                  "near-equal-diagonal", "graded")))
+                                  "near-equal-diagonal", "graded", "tiny",
+                                  "mean-shift")))
+    if shape in ("tiny", "mean-shift"):
+        u = [draw(st.floats(-1.0, 1.0)) for _ in range(6)]
+        if shape == "tiny":
+            return tuple(x * 10.0 ** -draw(st.integers(1, 320)) for x in u)
+        c = draw(st.floats(1.0, 1e4)) * draw(st.sampled_from((-1.0, 1.0)))
+        f = 10.0 ** -draw(st.integers(1, 12))
+        return tuple(c * (i < 3) + f * x for i, x in enumerate(u))
     if shape == "graded":
         e = [draw(st.integers(-25, 25)) for _ in range(3)]
         x = [draw(st.floats(-1.0, 1.0)) for _ in range(6)]
@@ -86,8 +155,13 @@ def matrices(draw):
 @given(matrices())
 @example((3.5492451012449692e16, 3.54924865049007e16, 3.5492451012449692e16,
           5e-324, 1.0, 5e-324))
+@example(TINY_SQUARES)
+@example(SUBNORMAL_EIGENVALUES)
 def test_no_finite_input_raises(row):
     assert all(abs(x) <= BOUND for x in row)
     dec = diagonalize3(SymMat3(*row))
     if dec.branch in (Branch.GENERIC, Branch.ALREADY_DIAGONAL_2D):
         assert dec.report.recon_residual <= 1e-12, row
+    # DoubleRoot averages the two closest roots (ROADMAP item 2)
+    if dec.branch is not Branch.DOUBLE_ROOT:
+        assert_eigenvalues_accurate(row, dec)

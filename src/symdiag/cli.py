@@ -16,15 +16,16 @@ floats in a fixed order; neither makes a BLAS call, so no byte of a result
 depends on the BLAS kernel numpy picks for the CPU.  ``solve`` and
 ``verify`` build no array and never import numpy: ``verify`` and ``bench``
 call the Jacobi oracle's float entry point, and only ``bench`` imports
-numpy, for its random stream and percentiles.  Result records are written
-by one ``%``-template per dimension; every other record by ``_dumps``, and
-both give the same bytes for a result.
+numpy, for its random stream and percentiles.  A result line is one
+``%``-template fill per dimension, straight from the decomposition and its
+residuals, with each distinct float formatted once: eigenvalues_sorted
+reuses the eigenvalue strings and euler_angles the angle strings.  Every
+other record is written by ``_dumps``, which gives a result the same bytes.
 """
 
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ import time
 
 from .core import Branch, NonFiniteInput, SymMat2, SymMat3
 from .eig2 import diagonalize2
-from .eig3 import diagonalize3, euler_angles
+from .eig3 import diagonalize3
 # jacobi_eigen is not called here: verify and bench call the float entry
 # point.  It stays a name of this module, which the benchmark's layer trace
 # (perfbench/spans.py) patches.
@@ -51,8 +52,9 @@ _KEYSET3 = frozenset(_KEYS3)
 # json.dumps(x) with default arguments is this encoder's encode(x).
 _encode = json.JSONEncoder().encode
 
-# Branch member -> its name; a dict lookup is cheaper than the .value property.
-_BRANCH_NAMES = {member: member.value for member in Branch}
+# Branch member -> its name as JSON; a dict lookup is cheaper than the
+# .value property.
+_BRANCH_JSON = {member: _encode(member.value) for member in Branch}
 
 
 def _dumps(obj):
@@ -67,36 +69,25 @@ def _dumps(obj):
     return _encode(obj)
 
 
-# _dumps(result) for a solve_record result, in its key order: id, the
-# floats of eigenvalues through eigenvectors, branch, the residuals.
-_RESULT_TEMPLATE = {
-    3: ('{"id": %s, "dim": 3, "eigenvalues": [%.17g, %.17g, %.17g], '
-        '"eigenvalues_sorted": [%.17g, %.17g, %.17g], '
-        '"angles": [%.17g, %.17g, %.17g], '
-        '"euler_angles": [%.17g, %.17g, %.17g], '
-        '"eigenvectors": [[%.17g, %.17g, %.17g], [%.17g, %.17g, %.17g], '
-        '[%.17g, %.17g, %.17g]], '
-        '"branch": %s, "residuals": {"recon_rel": %.17g, '
-        '"ortho": %.17g, "max_eigvec_res": %.17g}}'),
-    2: ('{"id": %s, "dim": 2, "eigenvalues": [%.17g, %.17g], '
-        '"eigenvalues_sorted": [%.17g, %.17g], "angles": [%.17g], '
-        '"euler_angles": [%.17g], '
-        '"eigenvectors": [[%.17g, %.17g], [%.17g, %.17g]], '
-        '"branch": %s, "residuals": {"recon_rel": %.17g, '
-        '"ortho": %.17g, "max_eigvec_res": %.17g}}'),
-}
-
-
-def _dump_result(result):
-    """``_dumps(result)`` for a ResultRecord from ``solve_record``, without
-    walking it: one template per dimension, a %.17g slot per float."""
-    res = result["residuals"]
-    return _RESULT_TEMPLATE[result["dim"]] % (
-        _encode(result["id"]), *result["eigenvalues"],
-        *result["eigenvalues_sorted"], *result["angles"],
-        *result["euler_angles"], *itertools.chain(*result["eigenvectors"]),
-        _encode(result["branch"]), res["recon_rel"], res["ortho"],
-        res["max_eigvec_res"])
+# The result line of a 3x3 and of a 2x2: the bytes _dumps gives the result
+# record, with keys id, dim, eigenvalues, eigenvalues_sorted, angles,
+# euler_angles, eigenvectors, branch and residuals.  The %s slots take
+# floats formatted once each, since eigenvalues_sorted permutes the
+# eigenvalues and the Euler angles are the angles (euler_angles); the %.17g
+# slots take the rest.
+_RESULT3 = ('{"id": %s, "dim": 3, "eigenvalues": [%s, %s, %s], '
+            '"eigenvalues_sorted": [%s, %s, %s], "angles": [%s], '
+            '"euler_angles": [%s], '
+            '"eigenvectors": [[%.17g, %.17g, %.17g], [%.17g, %.17g, %.17g], '
+            '[%.17g, %.17g, %.17g]], '
+            '"branch": %s, "residuals": {"recon_rel": %.17g, '
+            '"ortho": %.17g, "max_eigvec_res": %.17g}}\n')
+_RESULT2 = ('{"id": %s, "dim": 2, "eigenvalues": [%s, %s], '
+            '"eigenvalues_sorted": [%s, %s], "angles": [%s], '
+            '"euler_angles": [%s], '
+            '"eigenvectors": [[%.17g, %.17g], [%.17g, %.17g]], '
+            '"branch": null, "residuals": {"recon_rel": %.17g, '
+            '"ortho": %.17g, "max_eigvec_res": %.17g}}\n')
 
 
 def parse_record(line):
@@ -136,37 +127,12 @@ def parse_record(line):
     return rec_id, dim, mat
 
 
-def solve_record(rec_id, dim, mat):
-    """One ResultRecord dict for a parsed matrix."""
-    if dim == 2:
-        dec = diagonalize2(mat)
-        eig = [dec.lambda1, dec.lambda2]
-        angles = [dec.phi]
-        euler = [dec.phi]
-        d11, d12, d21, d22 = dec.d_entries
-        columns = [[d11, d21], [d12, d22]]
-        branch = None
-    else:
-        dec = diagonalize3(mat)
-        eig = list(dec.lambdas)
-        angles = list(dec.angles.as_tuple())
-        euler = list(euler_angles(dec).as_tuple())
-        d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
-        columns = [[d11, d21, d31], [d12, d22, d32], [d13, d23, d33]]
-        branch = _BRANCH_NAMES[dec.branch]
-    recon, ortho, eigvec = residuals(mat, dec)
-    return {
-        "id": rec_id,
-        "dim": dim,
-        "eigenvalues": eig,
-        "eigenvalues_sorted": sorted(eig, reverse=True),
-        "angles": angles,
-        "euler_angles": euler,
-        "eigenvectors": columns,
-        "branch": branch,
-        "residuals": {"recon_rel": recon, "ortho": ortho,
-                      "max_eigvec_res": max(eigvec)},
-    }, dec
+def solve_record(dim, mat):
+    """The decomposition of a parsed matrix and its residuals: (dec,
+    (recon_rel, ortho, eigenvector residuals)), as ``oracle.residuals``
+    gives them."""
+    dec = diagonalize2(mat) if dim == 2 else diagonalize3(mat)
+    return dec, residuals(mat, dec)
 
 
 def cmd_solve(in_stream, out_stream):
@@ -184,19 +150,53 @@ def cmd_solve(in_stream, out_stream):
         try:
             rec_id, dim, mat = parse_record(line)
         except ParseError as e:
-            text = _dumps({"id": None, "error": str(e)})
+            out_stream.write(_dumps({"id": None, "error": str(e)}) + "\n")
             n_fail += 1
-        else:
-            try:
-                result, _ = solve_record(rec_id, dim, mat)
-            except (ArithmeticError, ValueError) as e:
-                text = _dumps({"id": rec_id, "error": f"solver error: "
-                               f"{type(e).__name__}: {e}"})
-                n_fail += 1
+            continue
+        try:
+            dec, (recon, ortho, eigvec) = solve_record(dim, mat)
+        except (ArithmeticError, ValueError) as e:
+            out_stream.write(_dumps({"id": rec_id, "error": f"solver error: "
+                                     f"{type(e).__name__}: {e}"}) + "\n")
+            n_fail += 1
+            continue
+        # sorted(eigenvalues, reverse=True) is stable: equal eigenvalues,
+        # 0.0 and -0.0 among them, keep their order.  No eigenvalue here is
+        # NaN: where one leaves the double range, diagonalize3 raises
+        # OverflowError, and residuals does for diagonalize2's.
+        if dim == 3:
+            l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
+            e1, e2, e3 = "%.17g" % l1, "%.17g" % l2, "%.17g" % l3
+            if l1 < l2:
+                if l2 < l3:
+                    s1, s2, s3 = e3, e2, e1
+                elif l1 < l3:
+                    s1, s2, s3 = e2, e3, e1
+                else:
+                    s1, s2, s3 = e2, e1, e3
+            elif l1 < l3:
+                s1, s2, s3 = e3, e1, e2
+            elif l2 < l3:
+                s1, s2, s3 = e1, e3, e2
             else:
-                text = _dump_result(result)
-                n_ok += 1
-        out_stream.write(text + "\n")
+                s1, s2, s3 = e1, e2, e3
+            angles = "%.17g, %.17g, %.17g" % dec.angles
+            d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
+            text = _RESULT3 % (
+                _encode(rec_id), e1, e2, e3, s1, s2, s3, angles, angles,
+                d11, d21, d31, d12, d22, d32, d13, d23, d33,
+                _BRANCH_JSON[dec.branch], recon, ortho, max(eigvec))
+        else:
+            l1, l2 = dec.lambda1, dec.lambda2
+            e1, e2 = "%.17g" % l1, "%.17g" % l2
+            s1, s2 = (e2, e1) if l1 < l2 else (e1, e2)
+            angles = "%.17g" % dec.phi
+            d11, d12, d21, d22 = dec.d_entries
+            text = _RESULT2 % (
+                _encode(rec_id), e1, e2, s1, s2, angles, angles,
+                d11, d21, d12, d22, recon, ortho, max(eigvec))
+        out_stream.write(text)
+        n_ok += 1
     return 0 if n_ok > 0 or n_fail == 0 else 2
 
 
@@ -223,15 +223,16 @@ def cmd_verify(in_stream, out_stream, tol):
             n_parse += 1
             continue
         try:
-            result, dec = solve_record(rec_id, dim, mat)
+            dec, (recon, _, _) = solve_record(dim, mat)
         except (ArithmeticError, ValueError):
             n_fail += 1
             n_errors += 1
             continue
+        lambdas = ((dec.lambda1, dec.lambda2) if dim == 2
+                   else (dec.lambda1, dec.lambda2, dec.lambda3))
         jac = jacobi_eigen_floats(mat)
         dev = max(abs(x - y) for x, y in zip(
-            sorted(jac.eigenvalues), sorted(result["eigenvalues"])))
-        recon = result["residuals"]["recon_rel"]
+            sorted(jac.eigenvalues), sorted(lambdas)))
         max_dev = max(max_dev, dev)
         max_recon = max(max_recon, recon)
         if dim == 3 and dec.report.near_tie:

@@ -15,7 +15,7 @@ generic list loops only, without an array round trip.
 import math
 from typing import NamedTuple
 
-from .core import SymMat2, SymMat3
+from .core import EigenDecomp2, EigenDecomp3, SymMat2, SymMat3
 from .eig3 import CubicCoeffs
 
 MAX_SWEEPS = 100
@@ -248,21 +248,6 @@ def _sym_norm2(e11, e22, e12):
     return math.sqrt(e11 * e11 + e22 * e22 + 2.0 * (e12 * e12))
 
 
-def _eigvec_res3(a, x, y, z, lam):
-    """||A v - lam v|| for the column v = (x, y, z)."""
-    a11, a22, a33, a12, a13, a23 = a
-    return math.sqrt((a11 * x + a12 * y + a13 * z - lam * x) ** 2
-                     + (a12 * x + a22 * y + a23 * z - lam * y) ** 2
-                     + (a13 * x + a23 * y + a33 * z - lam * z) ** 2)
-
-
-def _eigvec_res2(a, x, y, lam):
-    """||A v - lam v|| for the column v = (x, y)."""
-    a11, a22, a12 = a
-    return math.sqrt((a11 * x + a12 * y - lam * x) ** 2
-                     + (a12 * x + a22 * y - lam * y) ** 2)
-
-
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
@@ -279,42 +264,96 @@ def residuals(a, dec):
     each component ((a_j1 x_1 + a_j2 x_2) + a_j3 x_3) - lambda_i x_j for
     the column x = d_i.  No BLAS call is made, so the bits do not depend
     on which kernel numpy's BLAS picks for the CPU (its dot products may
-    fuse and reorder), and the cost is float arithmetic only.
+    fuse and reorder), and the cost is float arithmetic only.  scale is
+    max(1, ||A||_F), with the squares of SymMat3.scale and SymMat2.scale.
+    Where a square overflows, from entries of ~1.3e154 on, the residuals
+    are those of A and the eigenvalues scaled by one exact power of two
+    (_prescaled_residuals); a decomposition with a non-finite eigenvalue
+    raises that OverflowError.
     """
-    scale = a.scale()
     d = dec.d_entries
     if len(d) == 4:
-        d11, d12, d21, d22 = d
+        a11, a22, a12 = a
         l1, l2 = dec.lambda1, dec.lambda2
+        d11, d12, d21, d22 = d
+        try:
+            scale = math.sqrt(a11**2 + a22**2 + 2.0 * a12**2)
+        except OverflowError as e:
+            return _prescaled_residuals(a, dec, e)
+        if not scale > 1.0:  # max(1.0, scale)
+            scale = 1.0
         p11, p12, p21, p22 = d11 * l1, d12 * l2, d21 * l1, d22 * l2
-        recon = _sym_norm2(p11 * d11 + p12 * d12 - a.a11,
-                           p21 * d21 + p22 * d22 - a.a22,
-                           p11 * d21 + p12 * d22 - a.a12)
+        recon = _sym_norm2(p11 * d11 + p12 * d12 - a11,
+                           p21 * d21 + p22 * d22 - a22,
+                           p11 * d21 + p12 * d22 - a12)
         ortho = _sym_norm2(d11 * d11 + d21 * d21 - 1.0,
                            d12 * d12 + d22 * d22 - 1.0,
                            d11 * d12 + d21 * d22)
-        eigvec = [_eigvec_res2(a, d11, d21, l1) / scale,
-                  _eigvec_res2(a, d12, d22, l2) / scale]
+        # ||A x - lambda x|| for the columns x = (d11, d21), (d12, d22)
+        eigvec = [math.sqrt((a11 * d11 + a12 * d21 - l1 * d11) ** 2
+                            + (a12 * d11 + a22 * d21 - l1 * d21) ** 2)
+                  / scale,
+                  math.sqrt((a11 * d12 + a12 * d22 - l2 * d12) ** 2
+                            + (a12 * d12 + a22 * d22 - l2 * d22) ** 2)
+                  / scale]
         return recon / scale, ortho, eigvec
-    d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
+    a11, a22, a33, a12, a13, a23 = a
     l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
+    d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
+    try:
+        scale = math.sqrt(a11**2 + a22**2 + a33**2
+                          + 2.0 * (a12**2 + a13**2 + a23**2))
+    except OverflowError as e:
+        return _prescaled_residuals(a, dec, e)
+    if not scale > 1.0:  # max(1.0, scale)
+        scale = 1.0
     # the rows of D diag(lambdas)
     p11, p12, p13 = d11 * l1, d12 * l2, d13 * l3
     p21, p22, p23 = d21 * l1, d22 * l2, d23 * l3
     p31, p32, p33 = d31 * l1, d32 * l2, d33 * l3
-    recon = _sym_norm3(p11 * d11 + p12 * d12 + p13 * d13 - a.a11,
-                       p21 * d21 + p22 * d22 + p23 * d23 - a.a22,
-                       p31 * d31 + p32 * d32 + p33 * d33 - a.a33,
-                       p11 * d21 + p12 * d22 + p13 * d23 - a.a12,
-                       p11 * d31 + p12 * d32 + p13 * d33 - a.a13,
-                       p21 * d31 + p22 * d32 + p23 * d33 - a.a23)
+    recon = _sym_norm3(p11 * d11 + p12 * d12 + p13 * d13 - a11,
+                       p21 * d21 + p22 * d22 + p23 * d23 - a22,
+                       p31 * d31 + p32 * d32 + p33 * d33 - a33,
+                       p11 * d21 + p12 * d22 + p13 * d23 - a12,
+                       p11 * d31 + p12 * d32 + p13 * d33 - a13,
+                       p21 * d31 + p22 * d32 + p23 * d33 - a23)
     ortho = _sym_norm3(d11 * d11 + d21 * d21 + d31 * d31 - 1.0,
                        d12 * d12 + d22 * d22 + d32 * d32 - 1.0,
                        d13 * d13 + d23 * d23 + d33 * d33 - 1.0,
                        d11 * d12 + d21 * d22 + d31 * d32,
                        d11 * d13 + d21 * d23 + d31 * d33,
                        d12 * d13 + d22 * d23 + d32 * d33)
-    eigvec = [_eigvec_res3(a, d11, d21, d31, l1) / scale,
-              _eigvec_res3(a, d12, d22, d32, l2) / scale,
-              _eigvec_res3(a, d13, d23, d33, l3) / scale]
+    # ||A x - lambda x|| for the columns x of D
+    eigvec = [
+        math.sqrt((a11 * d11 + a12 * d21 + a13 * d31 - l1 * d11) ** 2
+                  + (a12 * d11 + a22 * d21 + a23 * d31 - l1 * d21) ** 2
+                  + (a13 * d11 + a23 * d21 + a33 * d31 - l1 * d31) ** 2)
+        / scale,
+        math.sqrt((a11 * d12 + a12 * d22 + a13 * d32 - l2 * d12) ** 2
+                  + (a12 * d12 + a22 * d22 + a23 * d32 - l2 * d22) ** 2
+                  + (a13 * d12 + a23 * d22 + a33 * d32 - l2 * d32) ** 2)
+        / scale,
+        math.sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
+                  + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
+                  + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
+        / scale]
     return recon / scale, ortho, eigvec
+
+
+def _prescaled_residuals(a, dec, overflow):
+    """residuals(a, dec) where a square of an entry overflows: those of
+    2^-e A and the eigenvalues times 2^-e, with e from frexp of A's
+    largest |entry| less one.  That entry lands in [1, 2), so
+    max(1, ||2^-e A||_F) is ||2^-e A||_F, and every residual, being
+    relative, is that of A.  Raises ``overflow`` where an eigenvalue is
+    not finite."""
+    two = isinstance(dec, EigenDecomp2)
+    lambdas = (dec.lambda1, dec.lambda2) if two else dec.lambdas
+    if not all(map(math.isfinite, lambdas)):
+        raise overflow
+    exp = math.frexp(max(map(abs, a)))[1] - 1
+    a = type(a)(*[math.ldexp(x, -exp) for x in a])
+    lambdas = [math.ldexp(l, -exp) for l in lambdas]
+    if two:
+        return residuals(a, EigenDecomp2(*lambdas, dec.phi, dec.d_entries))
+    return residuals(a, EigenDecomp3(*lambdas, dec.angles, dec.d_entries))

@@ -1,6 +1,8 @@
 """JSON-lines CLI: parsing, solve/verify/bench commands, golden corpus."""
 
+import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -11,10 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symdiag import EigenDecomp3, SymMat2, SymMat3, cli
+from symdiag import (
+    Branch,
+    EigenDecomp2,
+    EigenDecomp3,
+    SymMat2,
+    SymMat3,
+    cli,
+    euler_angles,
+    residuals,
+)
 from symdiag.cli import (
     ParseError,
-    _dump_result,
     _dumps,
     cmd_bench,
     cmd_solve,
@@ -39,10 +49,14 @@ GOLDEN_EXPECTED = DATA / "golden_expected.jsonl"
 # numpy.random.default_rng(9).integers(-3, 4, (297, 6)).
 INTEGER_INPUT = DATA / "integer_input.jsonl"
 # Finite entries whose squares overflow a double: diagonalize3 solves it,
-# but oracle.residuals squares the entries and raises.
+# and oracle.residuals prescales it.
 HUGE_RECORD = json.dumps({"id": "huge", "a11": 1e200, "a22": 2e200,
                           "a33": 3e200, "a12": 1e199, "a13": 2e199,
                           "a23": 3e199})
+# Eigenvalues beyond the double range: diagonalize3 raises OverflowError.
+OVERFLOW_RECORD = json.dumps(
+    {"id": "overflow", **dict.fromkeys(("a11", "a22", "a33", "a12", "a13",
+                                        "a23"), 1e308)})
 NORMAL_RECORD = json.dumps({"id": "normal", "a11": 2.0, "a22": 1.0,
                             "a33": 0.5, "a12": 0.3, "a13": -0.2,
                             "a23": 0.1})
@@ -143,48 +157,135 @@ class TestDumps:
             assert _dumps(obj) == recursive_dumps(obj), obj
 
     def test_solve_records_match_the_reference(self):
+        """The line ``solve`` writes for a record is recursive_dumps of its
+        result record, built here from the solver, euler_angles and
+        residuals, on 2 000 seeded 3x3 and 2x2 records: random, clustered
+        (DoubleRoot), structured, small-integer (repeated and zero
+        eigenvalues), the identity (TripleRoot) and the golden corpus."""
         rng = np.random.default_rng(61)
-        mats = [(3, random_sym3(rng)) for _ in range(400)]
-        mats += [(2, random_sym2(rng)) for _ in range(200)]
+        mats = [(3, random_sym3(rng)) for _ in range(600)]
+        mats += [(2, random_sym2(rng)) for _ in range(300)]
         mats += [(3, clustered_sym3(rng, (0.0, 1e-9)[i % 2]))
                  for i in range(400)]
         mats += [(3, structured_sym3(rng)) for _ in range(300)]
+        mats += [(3, SymMat3(*row)) for row in rng.integers(-2, 3, (300, 6))]
+        mats += [(2, SymMat2(*row)) for row in rng.integers(-2, 3, (100, 3))]
+        mats += [(3, SymMat3(1, 1, 1, 0, 0, 0))]
         records = [(f"\u00fc{i}", dim, m) for i, (dim, m) in enumerate(mats)]
         # a null id with -0 entries in both dimensions, a non-ASCII id
         records += [(None, 3, SymMat3(-0.0, 1.0, 2.0, -0.0, 0.0, 0.5)),
                     (None, 2, SymMat2(-0.0, -0.0, -0.0)),
                     ("\u4e2d\u6587 \"q\"\n", 3, SymMat3(*range(6)))]
-        texts = []
-        for rec_id, dim, m in records:
-            result, _ = solve_record(rec_id, dim, m)
-            texts.append(_dumps(result))
-            assert texts[-1] == recursive_dumps(result), m
-            assert _dump_result(result) == texts[-1], m
-        assert texts[-2].startswith('{"id": null') and ", -0" in texts[-2]
+        golden = [parse_record(line) for line in
+                  GOLDEN_INPUT.read_text().splitlines()]
+        lines = solve_lines(records + golden)
+        for (rec_id, dim, m), line in zip(records + golden, lines):
+            assert line == recursive_dumps(result_record(rec_id, dim, m)), m
+        # 0.0 and -0.0 tie, and keep the solver's order when sorted
+        assert lines[len(records) - 2].startswith(
+            '{"id": null, "dim": 2, "eigenvalues": [0, -0], '
+            '"eigenvalues_sorted": [0, -0]')
+        branches = {json.loads(line)["branch"] for line in lines}
+        assert branches == {None, "Generic", "DoubleRoot", "TripleRoot",
+                            "AlreadyDiagonal2D"}
+
+    def test_sorted_eigenvalues_keep_ties_in_order(self, monkeypatch):
+        """eigenvalues_sorted is sorted(eigenvalues, reverse=True), a
+        stable sort, for every order of three (and two) eigenvalues drawn
+        from -1, -0, 0 and 1: ties, 0.0 against -0.0 among them, keep the
+        solver's order."""
+        solve3, solve2 = cli.diagonalize3, cli.diagonalize2
+        values = (-1.0, -0.0, 0.0, 1.0)
+        triples = iter(itertools.product(values, repeat=3))
+        pairs = iter(itertools.product(values, repeat=2))
+
+        def with_lambdas3(mat):
+            dec = solve3(mat)
+            return EigenDecomp3(*next(triples), dec.angles, dec.d_entries,
+                                dec.branch, dec.report)
+
+        def with_lambdas2(mat):
+            dec = solve2(mat)
+            return EigenDecomp2(*next(pairs), dec.phi, dec.d_entries)
+
+        monkeypatch.setattr(cli, "diagonalize3", with_lambdas3)
+        monkeypatch.setattr(cli, "diagonalize2", with_lambdas2)
+        m3, m2 = SymMat3(2.0, 1.0, 0.5, 0.3, -0.2, 0.1), SymMat2(1, 0, 2)
+        lines = solve_lines([("t", 3, m3)] * 64 + [("p", 2, m2)] * 16)
+        # the references draw the same eigenvalues again
+        triples = iter(itertools.product(values, repeat=3))
+        pairs = iter(itertools.product(values, repeat=2))
+        for i, line in enumerate(lines):
+            dim, m = (3, m3) if i < 64 else (2, m2)
+            expected = result_record("t" if dim == 3 else "p", dim, m)
+            assert line == recursive_dumps(expected), expected["eigenvalues"]
+
+
+def result_record(rec_id, dim, mat):
+    """The result record of one matrix, in the key order of a ``solve``
+    line, from the solver the CLI calls, euler_angles and residuals."""
+    if dim == 2:
+        dec = cli.diagonalize2(mat)
+        eig = [dec.lambda1, dec.lambda2]
+        angles = euler = [dec.phi]
+        d11, d12, d21, d22 = dec.d_entries
+        columns = [[d11, d21], [d12, d22]]
+        branch = None
+    else:
+        dec = cli.diagonalize3(mat)
+        eig = list(dec.lambdas)
+        angles = list(dec.angles)
+        euler = list(euler_angles(dec))
+        d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
+        columns = [[d11, d21, d31], [d12, d22, d32], [d13, d23, d33]]
+        branch = dec.branch.value
+    recon, ortho, eigvec = residuals(mat, dec)
+    return {"id": rec_id, "dim": dim, "eigenvalues": eig,
+            "eigenvalues_sorted": sorted(eig, reverse=True),
+            "angles": angles, "euler_angles": euler,
+            "eigenvectors": columns, "branch": branch,
+            "residuals": {"recon_rel": recon, "ortho": ortho,
+                          "max_eigvec_res": max(eigvec)}}
+
+
+def solve_lines(records):
+    """The lines ``solve`` writes for (id, dim, matrix) records, each
+    written as a JSON line whose floats parse back to the same doubles."""
+    keys = {2: ("a11", "a22", "a12"),
+            3: ("a11", "a22", "a33", "a12", "a13", "a23")}
+    text = "".join(json.dumps({"id": rec_id, **dict(zip(keys[dim], m))})
+                   + "\n" for rec_id, dim, m in records)
+    out = io.StringIO()
+    assert cmd_solve(io.StringIO(text), out) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(records)
+    return lines
 
 
 class TestSolveRecord:
     def test_identity_3x3(self):
-        rec_id, dim, m = parse_record(
+        _, dim, m = parse_record(
             '{"a11": 1, "a22": 1, "a33": 1, "a12": 0, "a13": 0, "a23": 0}')
-        result, _ = solve_record(rec_id, dim, m)
-        assert result["eigenvalues"] == [1.0, 1.0, 1.0]
-        assert result["branch"] == "TripleRoot"
-        assert result["angles"] == [0.0, 0.0, 0.0]
+        dec, _ = solve_record(dim, m)
+        assert dec.lambdas == (1.0, 1.0, 1.0)
+        assert dec.branch is Branch.TRIPLE_ROOT
+        assert dec.angles == (0.0, 0.0, 0.0)
 
     def test_diag_321_sorted_and_residuals(self):
-        rec_id, dim, m = parse_record(
+        _, dim, m = parse_record(
             '{"a11": 3, "a22": 2, "a33": 1, "a12": 0, "a13": 0, "a23": 0}')
-        result, _ = solve_record(rec_id, dim, m)
-        assert result["eigenvalues_sorted"] == pytest.approx([3.0, 2.0, 1.0])
-        assert result["residuals"]["recon_rel"] <= 1e-14
-        assert result["residuals"]["ortho"] <= 1e-14
+        dec, (recon, ortho, _) = solve_record(dim, m)
+        assert dec.lambdas_sorted() == pytest.approx([3.0, 2.0, 1.0])
+        assert recon <= 1e-14
+        assert ortho <= 1e-14
 
     def test_2x2_has_null_branch(self):
         rec_id, dim, m = parse_record('{"a11": 2, "a22": 2, "a12": 1}')
-        result, _ = solve_record(rec_id, dim, m)
-        assert result["branch"] is None
-        assert result["angles"] == [pytest.approx(0.25 * math.pi)]
+        dec, _ = solve_record(dim, m)
+        assert isinstance(dec, EigenDecomp2)
+        assert dec.phi == pytest.approx(0.25 * math.pi)
+        (line,) = solve_lines([(rec_id, dim, m)])
+        assert json.loads(line)["branch"] is None
 
 
 class TestCmdSolve:
@@ -224,11 +325,19 @@ class TestCmdSolve:
         assert rc == 0 and len(out.splitlines()) == 1
 
     def test_solver_error_inline_and_stream_continues(self):
-        rc, out = self.run(HUGE_RECORD + "\n" + NORMAL_RECORD + "\n")
+        rc, out = self.run(OVERFLOW_RECORD + "\n" + NORMAL_RECORD + "\n")
         lines = [json.loads(l) for l in out.splitlines()]
         assert rc == 0 and len(lines) == 2
-        assert lines[0]["id"] == "huge" and "error" in lines[0]
+        assert lines[0]["id"] == "overflow" and "error" in lines[0]
         assert lines[1]["id"] == "normal" and lines[1]["branch"] == "Generic"
+
+    def test_huge_entries_are_solved(self):
+        """Entries whose squares overflow a double give a result line, with
+        the residuals of the prescaled matrix."""
+        rc, out = self.run(HUGE_RECORD + "\n")
+        (line,) = [json.loads(l) for l in out.splitlines()]
+        assert rc == 0 and line["id"] == "huge" and "error" not in line
+        assert line["residuals"]["recon_rel"] <= 1e-12
 
     @pytest.mark.parametrize("digits", LONG_INT_DIGITS)
     def test_long_integer_inline_error_and_stream_continues(self, digits):
@@ -283,8 +392,8 @@ class TestCmdVerify:
 
     def test_solver_error_counts_as_failed(self):
         out = io.StringIO()
-        rc = cmd_verify(io.StringIO(HUGE_RECORD + "\n" + NORMAL_RECORD + "\n"),
-                        out, tol=1e-9)
+        rc = cmd_verify(io.StringIO(OVERFLOW_RECORD + "\n"
+                                    + NORMAL_RECORD + "\n"), out, tol=1e-9)
         summary = json.loads(out.getvalue())
         assert rc == 1
         assert summary["records"] == 2
@@ -517,3 +626,68 @@ class TestColdStart:
             assert run.returncode == 0, run.stderr
             assert json.loads(run.stdout)["pass"] == n
             assert run.stderr == b"False\n"
+
+
+def traced_cli_names():
+    """The ``symdiag.cli`` globals the benchmark's layer trace
+    (perfbench/spans.py) swaps for timing wrappers."""
+    path = SRC.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [attr for mod, attr, _ in spans.CLI_LAYERS if mod == "symdiag.cli"]
+
+
+class TestLayerTrace:
+    """Each layer the benchmark traces is a ``symdiag.cli`` global that
+    ``solve`` and ``verify`` call once per record: a layer reached some
+    other way would hand its time to its caller's span unseen."""
+
+    def counted(self, monkeypatch):
+        """Count the calls of each traced global; _dumps calls itself, and
+        only its outermost calls count, as only they are spans."""
+        calls, active = {}, set()
+        for name in traced_cli_names():
+            fn = getattr(cli, name)  # missing: an absent layer
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                if _name in active:
+                    return _fn(*args, **kwargs)
+                calls[_name] = calls.get(_name, 0) + 1
+                active.add(_name)
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    active.discard(_name)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        return calls
+
+    def test_each_layer_is_called_once_per_record(self, tmp_path,
+                                                   monkeypatch, capsys):
+        rng = np.random.default_rng(71)
+        lines = [json.dumps(dict(zip(("a11", "a22", "a33", "a12", "a13",
+                                      "a23"), random_sym3(rng))))
+                 for _ in range(7)]
+        lines += [json.dumps(dict(zip(("a11", "a22", "a12"),
+                                      random_sym2(rng))))
+                  for _ in range(3)]
+        lines += ["{bad", OVERFLOW_RECORD]
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        calls = self.counted(monkeypatch)
+        assert cli.main(["solve", "--input", str(path)]) == 0
+        # 11 parsed records, 8 of them 3x3, one of which overflows
+        assert calls == {"main": 1, "cmd_solve": 1, "parse_record": 12,
+                         "SymMat3": 8, "solve_record": 11,
+                         "diagonalize3": 8, "diagonalize2": 3,
+                         "residuals": 10, "_dumps": 2}
+        calls.clear()
+        path.write_text("\n".join(lines[:10]) + "\n")
+        assert cli.main(["verify", "--input", str(path),
+                         "--tol", "1e-9"]) == 0
+        assert calls == {"main": 1, "cmd_verify": 1, "parse_record": 10,
+                         "SymMat3": 7, "solve_record": 10,
+                         "diagonalize3": 7, "diagonalize2": 3,
+                         "residuals": 10, "_dumps": 1}
+        capsys.readouterr()

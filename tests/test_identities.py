@@ -24,7 +24,7 @@ from symdiag import (
     compute_w,
     pq_expanded,
 )
-from symdiag.eig3 import _derotated
+from symdiag.eig3 import _derotated, _g_components
 
 
 def _lift(x):
@@ -218,6 +218,53 @@ def test_compute_w_is_cos_phi3_squared():
     w = compute_w(a, lambdas, compute_v(a, lambdas))
     num, den = quotient_of(w)
     assert vanishes_on_the_circle(num - C3**2 * den)
+
+
+class TracedMath:
+    """The math module for a stage whose angles are Traced: cos and sin
+    act on the expression, in the angle symbols, and on the sample."""
+
+    @staticmethod
+    def cos(x):
+        return Traced(sympy.cos(x.expr), math.cos(x.sample))
+
+    @staticmethod
+    def sin(x):
+        return Traced(sympy.sin(x.expr), math.sin(x.sample))
+
+
+ANGLES = sympy.symbols("phi1 phi2 phi3")
+
+
+def in_ci_si(x):
+    """A Traced expression in the angle symbols, rewritten in ci and si."""
+    trig = {}
+    for phi, c, s in zip(ANGLES, TRIG[::2], TRIG[1::2]):
+        trig[sympy.cos(phi)], trig[sympy.sin(phi)] = c, s
+    return sympy.expand_trig(expr(x)).subs(trig)
+
+
+def test_g_vectors_are_the_rotated_f_vectors(monkeypatch):
+    """On A = D diag(l1, l2, l3) D^T, _g_components' vectors are the
+    f-vectors rotated by phi1 and 2 phi1: g1 = R(phi1) f1 and
+    g2 = R(2 phi1) f2, with f1 = (a12, -a13), f2 = (a22 - a33, -2 a23),
+    v = c2^2 and w = c3^2.  So each route reads phi1 back as the angle
+    from f to g, from the eigenvalues, phi2 and phi3 alone."""
+    monkeypatch.setattr("symdiag.eig3.math", TracedMath)
+    (_, a22, a33, a12, a13, a23), _ = conjugated_symbols()
+    l1, l2, l3 = (Traced(s, x) for s, x in zip(LAMBDAS, LAMBDA_SAMPLE))
+    phi2, phi3 = (Traced(s, x) for s, x in zip(ANGLES[1:], ANGLE_SAMPLE[1:]))
+    v = Traced(C2**2, math.cos(phi2.sample) ** 2)
+    w = Traced(C3**2, math.cos(phi3.sample) ** 2)
+    g1x, g1y, g2x, g2y = map(in_ci_si, _g_components(
+        l1 - l2, l2 - l3, phi2, phi3, v, w))
+    f1x, f1y = a12, -a13
+    f2x, f2y = a22 - a33, -2 * a23
+    cos2, sin2 = C1**2 - S1**2, 2 * S1 * C1
+    assert vanishes_on_the_circle(g1x - (C1 * f1x - S1 * f1y))
+    assert vanishes_on_the_circle(g1y - (S1 * f1x + C1 * f1y))
+    assert vanishes_on_the_circle(g2x - (cos2 * f2x - sin2 * f2y))
+    assert vanishes_on_the_circle(g2y - (sin2 * f2x + cos2 * f2y))
 
 
 def test_derotated_rotation_gives_the_read_back_angles():

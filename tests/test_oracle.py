@@ -341,3 +341,33 @@ class TestResiduals:
             for got in (residuals(m, dec), norm_reference(m, dec)):
                 np.testing.assert_allclose(flat(got), want, rtol=0.0,
                                            atol=exact_atol, err_msg=repr(m))
+
+    def test_overflowing_norm_is_prescaled(self):
+        """Where squaring an entry overflows, the residuals are those of
+        the same matrix and eigenvalues at a smaller power-of-two scale:
+        bit for bit those at the scale where the largest |entry| lies in
+        [1, 2), so that max(1, ||A||_F) = ||A||_F.  A decomposition with an
+        infinite eigenvalue still raises."""
+        def unit(entries):
+            exp = math.frexp(max(map(abs, entries)))[1] - 1
+            return [math.ldexp(x, -exp) for x in entries]
+
+        rng = np.random.default_rng(56)
+        for _ in range(200):
+            m3 = SymMat3(*unit(random_sym3(rng)))
+            m2 = SymMat2(*unit(random_sym2(rng)))
+            dec3, dec2 = diagonalize3(m3), diagonalize2(m2)
+            for k in (520, 1000):
+                big3 = SymMat3(*(math.ldexp(x, k) for x in m3))
+                lambdas = (math.ldexp(x, k) for x in dec3.lambdas)
+                got = residuals(big3, EigenDecomp3(*lambdas, dec3.angles,
+                                                   dec3.d_entries))
+                assert got == residuals(m3, dec3), m3
+                big2 = SymMat2(*(math.ldexp(x, k) for x in m2))
+                got = residuals(big2, EigenDecomp2(
+                    math.ldexp(dec2.lambda1, k), math.ldexp(dec2.lambda2, k),
+                    dec2.phi, dec2.d_entries))
+                assert got == residuals(m2, dec2), m2
+        with pytest.raises(OverflowError):
+            residuals(SymMat2(1e300, -1e300, 0.0), EigenDecomp2(
+                math.inf, -1e300, 0.0, (1.0, 0.0, 0.0, 1.0)))

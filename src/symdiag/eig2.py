@@ -12,6 +12,9 @@ from .core import EigenDecomp2, SymMat2, wrap_half_pi
 # |a11 - a22| and |a12| both below DEGENERACY_EPS * max|a_ij| means the
 # matrix is treated as a scalar multiple of the identity: phi = 0.
 DEGENERACY_EPS = 1e-14
+# Beyond this largest |entry|, a11 + a22, a11 - a22 or the hypot in
+# eigenvalues2 can overflow; diagonalize2 solves A * 2^-2 instead.
+_PRESCALE_ABOVE = 2.0**1021
 
 
 def _sign(x):
@@ -42,7 +45,17 @@ def rotation_angle2(a: SymMat2):
 
 
 def diagonalize2(a: SymMat2) -> EigenDecomp2:
-    """Full closed-form decomposition A = D . diag(l1, l2) . D^T."""
-    l1, l2 = eigenvalues2(a)
+    """Full closed-form decomposition A = D . diag(l1, l2) . D^T.
+
+    Where the largest |entry| exceeds _PRESCALE_ABOVE, A * 2^-2 is solved
+    and its eigenvalues map back by ldexp, which raises OverflowError where
+    one leaves the double range.  Any other matrix is solved as given, so
+    no entry in the subnormal range loses a bit to the scaling.
+    """
+    if max(map(abs, a)) > _PRESCALE_ABOVE:
+        a = SymMat2(*[math.ldexp(x, -2) for x in a])
+        l1, l2 = [math.ldexp(x, 2) for x in eigenvalues2(a)]
+    else:
+        l1, l2 = eigenvalues2(a)
     phi = rotation_angle2(a)
     return EigenDecomp2.from_angle(l1, l2, phi)

@@ -176,7 +176,11 @@ def eigenvalues3(coeffs: CubicCoeffs, pq: PQ) -> tuple:
     """The three real roots via the trigonometric formulas.
 
     The cosine placement orders them lambda1 >= lambda3 >= lambda2
-    (delta/3 lies in [0, pi/3]); no sorting is applied here.
+    (delta/3 lies in [0, pi/3]); no sorting is applied here.  At
+    compute_pq's double-root endpoints two roots are bit-equal: delta = 0
+    gives l2 == l3, as cos(2pi/3) = cos(-2pi/3), and delta = pi gives
+    l1 == l3, as _TWO_PI_3 is exactly 2 (pi/3) and third - _TWO_PI_3 is
+    exactly -third.
     """
     b = coeffs.b
     if pq.delta is None:
@@ -498,20 +502,6 @@ def _polish_angles(a: SymMat3, lambdas, angles, scale):
         angles, math.inf, lambdas)
 
 
-def _double_root_lambdas(lambdas):
-    """Reorder so the repeated pair (the closest two roots, averaged) comes first."""
-    l1, l2, l3 = lambdas
-    d12, d13, d23 = abs(l1 - l2), abs(l1 - l3), abs(l2 - l3)
-    # as min() compares: a later gap wins only when strictly smaller
-    if d13 < d12:
-        if d23 < d13:
-            return 0.5 * (l2 + l3), l1
-        return 0.5 * (l1 + l3), l2
-    if d23 < d12:
-        return 0.5 * (l2 + l3), l1
-    return 0.5 * (l1 + l2), l3
-
-
 def _reconstruct6(d, lambdas):
     """The entries (11, 22, 33, 12, 13, 23) of D . diag(lambdas) . D^T,
     from the nine entries of D, row by row."""
@@ -565,9 +555,10 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     and eigenvalues are kept when they lower it.  DoubleRoot and TripleRoot
     results are returned uncorrected: a correction would fire on every
     DoubleRoot result of a gap near 1e-9, whose residual comes from
-    averaging the two closest roots (README, Accuracy).  resolve_signs or
-    degenerate_double returns the report fields, and the solve's one
-    SolveReport is built here with the residual relative to the matrix solved.
+    taking the pair as the root eigenvalues3 gives twice at compute_pq's
+    endpoint (README, Accuracy).  resolve_signs or degenerate_double
+    returns the report fields, and the solve's one SolveReport is built
+    here with the residual relative to the matrix solved.
     """
     a11, a22, a33, a12, a13, a23 = a
     fro2 = (a11 * a11 + a22 * a22 + a33 * a33
@@ -598,7 +589,9 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
         pq = compute_pq(coeffs)
         lambdas = eigenvalues3(coeffs, pq)
         if pq.double_root:
-            lam, lam3 = _double_root_lambdas(lambdas)
+            # the bit-equal pair of eigenvalues3 at delta = 0 or pi
+            l1, l2, l3 = lambdas
+            lam, lam3 = (l2, l1) if pq.delta == 0.0 else (l1, l2)
             lambdas = (lam, lam, lam3)
             angles, signs, candidates, n1, n2, near_tie = degenerate_double(
                 a, lam, lam3, scale)

@@ -9,13 +9,15 @@ call: importing this module loads the standard library only.  Jacobi
 rotates the rows of a 2x2 or 3x3 held as Python floats; its float entry
 point, jacobi_eigen_floats, takes a SymMat2 or SymMat3 and returns floats,
 so ``symdiag verify`` and ``symdiag bench`` pay for its arithmetic and
-generic list loops only, without an array round trip.
+generic list loops only, without an array round trip.  residuals, which
+``symdiag solve`` prints, is one straight-line 3x3 formula on Python
+floats; a 2x2 goes through it as the leading block of diag(A, 0).
 """
 
 import math
 from typing import NamedTuple
 
-from .core import EigenDecomp2, EigenDecomp3, SymMat2, SymMat3
+from .core import SymMat2, SymMat3
 from .eig3 import CubicCoeffs
 
 MAX_SWEEPS = 100
@@ -243,68 +245,60 @@ def _sym_norm3(e11, e22, e33, e12, e13, e23):
                      + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23))
 
 
-def _sym_norm2(e11, e22, e12):
-    """Frobenius norm of a symmetric 2x2 from its three unique entries."""
-    return math.sqrt(e11 * e11 + e22 * e22 + 2.0 * (e12 * e12))
-
-
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
     Works for both EigenDecomp2 and EigenDecomp3, on Python floats: D
     comes from ``dec.d_entries`` (the floats the solver stored, or those of
     the array the record was built with) and A from the fields of the
-    SymMat, so no array is built and numpy is not imported.
+    SymMat, so no array is built and numpy is not imported.  One formula
+    serves both sizes: a 2x2 is the leading block of the 3x3 diag(A, 0),
+    with D = diag(D, 1) and lambda3 = 0.  Every term that adds is an exact
+    zero, so the residuals are those of the 2x2 itself, and the third
+    column's residual is left out: a 2x2 gives two eigenvector residuals.
     recon_rel is ||D diag(lambdas) D^T - A||_F / scale and ortho is
     ||D^T D - I||_F.  Both differences are symmetric, so each norm sums
-    the squares of its six (3x3) or three (2x2) unique entries with the
-    off-diagonal ones weighted by 2; every entry is a left-to-right sum
-    over k of (d_ik lambda_k) d_jk, or of d_ki d_kj, less a_ij or the
-    identity.  Eigenvector residual i is ||A d_i - lambda_i d_i|| / scale,
-    each component ((a_j1 x_1 + a_j2 x_2) + a_j3 x_3) - lambda_i x_j for
-    the column x = d_i.  No BLAS call is made, so the bits do not depend
-    on which kernel numpy's BLAS picks for the CPU (its dot products may
-    fuse and reorder), and the cost is float arithmetic only.  scale is
+    the squares of the six unique entries with the off-diagonal ones
+    weighted by 2; every entry is a left-to-right sum over k of
+    (d_ik lambda_k) d_jk, or of d_ki d_kj, less a_ij or the identity.
+    Eigenvector residual i is ||A d_i - lambda_i d_i|| / scale, each
+    component ((a_j1 x_1 + a_j2 x_2) + a_j3 x_3) - lambda_i x_j for the
+    column x = d_i.  No BLAS call is made, so the bits do not depend on
+    which kernel numpy's BLAS picks for the CPU (its dot products may fuse
+    and reorder), and the cost is float arithmetic only.  scale is
     max(1, ||A||_F), with the squares of SymMat3.scale and SymMat2.scale.
-    Where a square overflows, from entries of ~1.3e154 on, the residuals
-    are those of A and the eigenvalues scaled by one exact power of two
-    (_prescaled_residuals); a decomposition with a non-finite eigenvalue
-    raises that OverflowError.
+    Where a square overflows, from entries of ~1.3e154 on, A and the
+    eigenvalues are first scaled by 2^-e, exactly, with e from frexp of
+    A's largest |entry| less one: that entry lands in [1, 2), so max(1,
+    ||2^-e A||_F) is ||2^-e A||_F and every residual, being relative, is
+    that of A.  A decomposition with a non-finite eigenvalue re-raises
+    that OverflowError.
     """
     d = dec.d_entries
     if len(d) == 4:
         a11, a22, a12 = a
-        l1, l2 = dec.lambda1, dec.lambda2
+        a33 = a13 = a23 = 0.0
+        l1, l2, l3 = dec.lambda1, dec.lambda2, 0.0
         d11, d12, d21, d22 = d
+        d13 = d23 = d31 = d32 = 0.0
+        d33 = 1.0
+    else:
+        a11, a22, a33, a12, a13, a23 = a
+        l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
+        d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
+    while True:
         try:
-            scale = math.sqrt(a11**2 + a22**2 + 2.0 * a12**2)
-        except OverflowError as e:
-            return _prescaled_residuals(a, dec, e)
-        if not scale > 1.0:  # max(1.0, scale)
-            scale = 1.0
-        p11, p12, p21, p22 = d11 * l1, d12 * l2, d21 * l1, d22 * l2
-        recon = _sym_norm2(p11 * d11 + p12 * d12 - a11,
-                           p21 * d21 + p22 * d22 - a22,
-                           p11 * d21 + p12 * d22 - a12)
-        ortho = _sym_norm2(d11 * d11 + d21 * d21 - 1.0,
-                           d12 * d12 + d22 * d22 - 1.0,
-                           d11 * d12 + d21 * d22)
-        # ||A x - lambda x|| for the columns x = (d11, d21), (d12, d22)
-        eigvec = [math.sqrt((a11 * d11 + a12 * d21 - l1 * d11) ** 2
-                            + (a12 * d11 + a22 * d21 - l1 * d21) ** 2)
-                  / scale,
-                  math.sqrt((a11 * d12 + a12 * d22 - l2 * d12) ** 2
-                            + (a12 * d12 + a22 * d22 - l2 * d22) ** 2)
-                  / scale]
-        return recon / scale, ortho, eigvec
-    a11, a22, a33, a12, a13, a23 = a
-    l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
-    d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
-    try:
-        scale = math.sqrt(a11**2 + a22**2 + a33**2
-                          + 2.0 * (a12**2 + a13**2 + a23**2))
-    except OverflowError as e:
-        return _prescaled_residuals(a, dec, e)
+            scale = math.sqrt(a11**2 + a22**2 + a33**2
+                              + 2.0 * (a12**2 + a13**2 + a23**2))
+            break
+        except OverflowError:
+            if not (math.isfinite(l1) and math.isfinite(l2)
+                    and math.isfinite(l3)):
+                raise
+            e = 1 - math.frexp(max(map(abs, a)))[1]
+            a11, a22, a33, a12, a13, a23, l1, l2, l3 = [
+                math.ldexp(x, e)
+                for x in (a11, a22, a33, a12, a13, a23, l1, l2, l3)]
     if not scale > 1.0:  # max(1.0, scale)
         scale = 1.0
     # the rows of D diag(lambdas)
@@ -332,28 +326,11 @@ def residuals(a, dec):
         math.sqrt((a11 * d12 + a12 * d22 + a13 * d32 - l2 * d12) ** 2
                   + (a12 * d12 + a22 * d22 + a23 * d32 - l2 * d22) ** 2
                   + (a13 * d12 + a23 * d22 + a33 * d32 - l2 * d32) ** 2)
-        / scale,
-        math.sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
-                  + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
-                  + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
         / scale]
+    if len(d) == 9:
+        eigvec.append(
+            math.sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
+                      + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
+                      + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
+            / scale)
     return recon / scale, ortho, eigvec
-
-
-def _prescaled_residuals(a, dec, overflow):
-    """residuals(a, dec) where a square of an entry overflows: those of
-    2^-e A and the eigenvalues times 2^-e, with e from frexp of A's
-    largest |entry| less one.  That entry lands in [1, 2), so
-    max(1, ||2^-e A||_F) is ||2^-e A||_F, and every residual, being
-    relative, is that of A.  Raises ``overflow`` where an eigenvalue is
-    not finite."""
-    two = isinstance(dec, EigenDecomp2)
-    lambdas = (dec.lambda1, dec.lambda2) if two else dec.lambdas
-    if not all(map(math.isfinite, lambdas)):
-        raise overflow
-    exp = math.frexp(max(map(abs, a)))[1] - 1
-    a = type(a)(*[math.ldexp(x, -exp) for x in a])
-    lambdas = [math.ldexp(l, -exp) for l in lambdas]
-    if two:
-        return residuals(a, EigenDecomp2(*lambdas, dec.phi, dec.d_entries))
-    return residuals(a, EigenDecomp3(*lambdas, dec.angles, dec.d_entries))

@@ -421,6 +421,46 @@ class TestCmdVerify:
         assert summary["pass"] == 1 and summary["fail"] == 1
         assert summary["parse_errors"] == 1 and summary["solver_errors"] == 0
 
+    def test_huge_record_passes(self):
+        # its absolute eigenvalue deviation is ~3e185, 1e-15 of ||A||_2
+        out = io.StringIO()
+        rc = cmd_verify(io.StringIO(HUGE_RECORD + "\n"), out, tol=1e-9)
+        summary = json.loads(out.getvalue())
+        assert rc == 0 and summary["pass"] == 1
+        assert summary["max_eigenvalue_deviation"] <= 1e-14
+
+    @pytest.mark.parametrize("scale", [0.25, 1e6, 1e150])
+    def test_deviation_is_relative_to_the_spectral_norm(self, scale):
+        """The summary's deviation is the largest sorted-eigenvalue
+        deviation over max(1, ||A||_2), ||A||_2 the largest |eigenvalue|
+        from Jacobi: at scale 0.25, where ||A||_2 <= 1, it is the absolute
+        deviation, bit for bit."""
+        rng = np.random.default_rng(14)
+        mats = [SymMat3(*(scale * rng.uniform(-1.0, 1.0, 6)))
+                for _ in range(40)]
+        mats += [SymMat2(*(scale * rng.uniform(-1.0, 1.0, 3)))
+                 for _ in range(20)]
+        want = 0.0
+        for m in mats:
+            dec, _ = solve_record(3 if len(m) == 6 else 2, m)
+            lambdas = (dec.lambdas if isinstance(dec, EigenDecomp3)
+                       else (dec.lambda1, dec.lambda2))
+            jac = cli.jacobi_eigen_floats(m).eigenvalues
+            dev = max(abs(x - y) for x, y in zip(sorted(jac),
+                                                 sorted(lambdas)))
+            norm2 = max(map(abs, jac))
+            if scale < 1.0:
+                assert norm2 <= 1.0
+            want = max(want, dev / max(1.0, norm2))
+        text = "".join(json.dumps(dict(zip(
+            ("a11", "a22", "a33", "a12", "a13", "a23") if len(m) == 6
+            else ("a11", "a22", "a12"), m))) + "\n" for m in mats)
+        out = io.StringIO()
+        rc = cmd_verify(io.StringIO(text), out, tol=1e-9)
+        summary = json.loads(out.getvalue())
+        assert rc == 0 and summary["pass"] == len(mats)
+        assert summary["max_eigenvalue_deviation"] == want
+
     def test_corrupt_hook_reports_failures(self, monkeypatch):
         corrupt_diagonalize3(monkeypatch)
         out = io.StringIO()

@@ -118,3 +118,27 @@ class TestDiagonalize2:
         assert np.linalg.norm(recon - a) <= 1e-14 * np.linalg.norm(a)
         want = np.linalg.eigvalsh(a)
         assert np.max(np.abs(np.sort(lam) - want)) <= 1e-14 * abs(want[1])
+
+    def test_entries_near_the_double_range_are_prescaled(self):
+        # a11 + a22, a11 - a22 or the hypot overflowed here, giving inf or
+        # NaN eigenvalues without a raise; A * 2^-2 is solved instead
+        dec = diagonalize2(SymMat2(1e308, -1e308, 0.0))
+        assert (dec.lambda1, dec.lambda2, dec.phi) == (1e308, -1e308, 0.0)
+        # an eigenvalue of ~2.7e308 is beyond the double range
+        with pytest.raises(OverflowError):
+            diagonalize2(SymMat2(1.7e308, 1.7e308, 1e308))
+
+    def test_prescale_is_exact(self):
+        # a matrix with an entry above 2^1021 gives the eigenvalues and
+        # angle of the same matrix at a smaller power-of-two scale
+        rng = np.random.default_rng(25)
+        for _ in range(500):
+            m = random_sym2(rng)
+            k = 1022 - math.frexp(max(map(abs, m)))[1]
+            big = SymMat2(*(math.ldexp(x, k) for x in m))
+            assert max(map(abs, big)) > 2.0**1021
+            small = SymMat2(*(math.ldexp(x, k - 600) for x in m))
+            got, want = diagonalize2(big), diagonalize2(small)
+            assert (got.lambda1, got.lambda2, got.phi) == (
+                math.ldexp(want.lambda1, 600), math.ldexp(want.lambda2, 600),
+                want.phi), m

@@ -319,10 +319,12 @@ def test_stage_chain_reproduces_generic_results():
 
 
 def test_stage_chain_reproduces_double_root_results():
-    """The public stages and _double_root_lambdas, chained by hand, give
-    diagonalize3's DoubleRoot results bit for bit, report included:
-    diagonalize3 runs no other copy of them and returns DoubleRoot results
-    unpolished."""
+    """The public stages, chained by hand, give diagonalize3's DoubleRoot
+    results bit for bit, report included: diagonalize3 runs no other copy
+    of them and returns DoubleRoot results unpolished.  The pair is the two
+    roots eigenvalues3 gives bit-equal at compute_pq's endpoint, l2 == l3
+    at delta = 0 and l1 == l3 at delta = pi, and the third root is the
+    distinct one."""
     rng = np.random.default_rng(71)
     compared = 0
     for gap in (0.0, 1e-9):
@@ -332,8 +334,15 @@ def test_stage_chain_reproduces_double_root_results():
             if dec.branch is not Branch.DOUBLE_ROOT:
                 continue
             coeffs = char_coeffs(a)
-            lam, lam3 = eig3._double_root_lambdas(
-                eigenvalues3(coeffs, compute_pq(coeffs)))
+            pq = compute_pq(coeffs)
+            l1, l2, l3 = eigenvalues3(coeffs, pq)
+            assert pq.delta in (0.0, math.pi), a
+            if pq.delta == 0.0:
+                assert same_bits(l2, l3), a
+                lam, lam3 = l2, l1
+            else:
+                assert same_bits(l1, l3), a
+                lam, lam3 = l1, l2
             lambdas = (lam, lam, lam3)
             scale = math.sqrt(fro2(a))
             angles, signs, candidates, n1, n2, near_tie = degenerate_double(

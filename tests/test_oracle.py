@@ -22,7 +22,8 @@ from symdiag import (
     residuals,
     rot2,
 )
-from symdiag import oracle
+from symdiag import Angles3, oracle
+from symdiag.core import rotation_entries
 from conftest import (
     clustered_sym3,
     random_sym2,
@@ -371,3 +372,24 @@ class TestResiduals:
         with pytest.raises(OverflowError):
             residuals(SymMat2(1e300, -1e300, 0.0), EigenDecomp2(
                 math.inf, -1e300, 0.0, (1.0, 0.0, 0.0, 1.0)))
+
+    def test_2x2_is_the_leading_block_of_its_3x3_embedding(self):
+        """A 2x2's residuals are, bit for bit, those of the 3x3 diag(A, 0)
+        with D = Rz(phi) and lambda3 = 0, whose third eigenvector residual
+        is 0: the identity residuals relies on to use one formula for both
+        sizes.  Held at scales whose squares overflow and underflow too."""
+        rng = np.random.default_rng(57)
+        for k in (0, 520, 1000, -600):
+            for _ in range(500):
+                a11, a22, a12 = (math.ldexp(x, k) for x in random_sym2(rng))
+                m2 = SymMat2(a11, a22, a12)
+                dec2 = diagonalize2(m2)
+                phi = dec2.phi
+                m3 = SymMat3(a11, a22, 0.0, a12, 0.0, 0.0)
+                dec3 = EigenDecomp3(dec2.lambda1, dec2.lambda2, 0.0,
+                                    Angles3(0.0, 0.0, phi),
+                                    rotation_entries(0.0, 0.0, phi))
+                recon, ortho, eigvec = residuals(m3, dec3)
+                assert repr(residuals(m2, dec2)) == repr(
+                    (recon, ortho, eigvec[:2])), m2
+                assert repr(eigvec[2]) == "0.0", m2

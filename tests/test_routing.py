@@ -6,7 +6,8 @@ dominates, shifted by trace/3) so that the classification is relative.
 The squared cosines v, w and the double-root s are clamped to [0, 1] when
 rounding puts them past an endpoint, and the Jacobi correction repairs
 the Generic result a noisy quotient gives.  The reproducers below raised
-or were rerouted to DoubleRoot, averaging two distinct eigenvalues, while
+or were rerouted to DoubleRoot, giving two distinct eigenvalues one
+repeated value, while
 an excursion past a clamp slack raised; the normalized reproducers were
 misclassified, or overflowed, before the normalization.  The property
 checks over the whole double range that no finite input raises and that
@@ -162,6 +163,7 @@ def test_no_finite_input_raises(row):
     dec = diagonalize3(SymMat3(*row))
     if dec.branch in (Branch.GENERIC, Branch.ALREADY_DIAGONAL_2D):
         assert dec.report.recon_residual <= 1e-12, row
-    # DoubleRoot averages the two closest roots (ROADMAP item 2)
+    # DoubleRoot repeats the root the cubic's endpoint gives (delta = 0 or
+    # pi), whatever the gap of the pair (ROADMAP item 2)
     if dec.branch is not Branch.DOUBLE_ROOT:
         assert_eigenvalues_accurate(row, dec)

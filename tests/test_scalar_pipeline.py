@@ -289,7 +289,7 @@ def triple_root_rows(n, seed):
 
 
 def test_polish_runs_on_generic_results_only(monkeypatch):
-    # no rotation lowers a DoubleRoot residual (set by the averaged pair)
+    # no rotation lowers a DoubleRoot residual (set by the repeated root)
     # or a TripleRoot one (D . lam I . D^T = lam I), so neither is polished
     calls = []
 

@@ -7,6 +7,10 @@ closed-form and Jacobi throughput on a seeded random matrix stream.
 Input records are one JSON object per line with keys a11, a22, a12 for a
 2x2 matrix, plus a33, a13, a23 for a 3x3, and an optional id.  ``solve``
 streams: each line is parsed, solved and written before the next is read.
+``parse_record`` decodes a line with the C scanner json.loads ends in, and
+hands json.loads only what that scanner rejects or leaves unread, so every
+error message is json.loads's; it then checks the keys and the entries in
+one pass over the dict and builds the matrix with one constructor call.
 All floats are serialized as ``"%.17g" % x``, the bytes of
 ``format(float(x), ".17g")``, so output is byte-reproducible.  The
 eigenvectors are the decomposition's ``d_entries``, the fixed-order float
@@ -48,6 +52,10 @@ _KEYS2 = ("a11", "a22", "a12")
 _KEYS3 = ("a11", "a22", "a33", "a12", "a13", "a23")
 _KEYSET2 = frozenset(_KEYS2)
 _KEYSET3 = frozenset(_KEYS3)
+
+# The scanner json.loads decodes with (the C one where _json is built):
+# one JSON value from a str at an index, and the index after it.
+_scan_once = json.JSONDecoder().scan_once
 
 # json.dumps(x) with default arguments is this encoder's encode(x).
 _encode = json.JSONEncoder().encode
@@ -91,19 +99,30 @@ _RESULT2 = ('{"id": %s, "dim": 2, "eigenvalues": [%s, %s], '
 
 
 def parse_record(line):
-    """One MatrixRecord from a JSON line; raises ParseError on anything bad."""
+    """One MatrixRecord from a JSON line; raises ParseError on anything bad.
+
+    The line is decoded by the scanner json.loads ends in.  What that
+    scanner raises on, leaves partly unread or cannot take (bytes) goes to
+    json.loads itself, so padding, a BOM, bytes and every error message
+    are json.loads's.
+    """
     try:
-        data = json.loads(line)
-    except (ValueError, RecursionError) as e:
-        # ValueError covers JSONDecodeError and integers past the digit
-        # limit of int(str); RecursionError covers too deep nesting
-        raise ParseError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
+        data, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, TypeError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            data = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            # ValueError covers JSONDecodeError and integers past the digit
+            # limit of int(str); RecursionError covers too deep nesting
+            raise ParseError(f"invalid JSON: {e}") from e
+    if type(data) is not dict:
         raise ParseError("record must be a JSON object")
-    rec_id = data.get("id")
-    if rec_id is not None and not isinstance(rec_id, str):
+    rec_id = data.pop("id", None)
+    if type(rec_id) is not str and rec_id is not None:
         raise ParseError("id must be a string")
-    keys = set(data) - {"id"}
+    keys = data.keys()
     if keys == _KEYSET3:
         dim, names = 3, _KEYS3
     elif keys == _KEYSET2:
@@ -111,17 +130,19 @@ def parse_record(line):
     else:
         raise ParseError(f"unexpected keys {sorted(keys)}; want "
                          f"{list(_KEYS2)} or {list(_KEYS3)}")
-    comps = []
-    for k in names:
-        v = data[k]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParseError(f"{k} must be a number")
-        try:
-            comps.append(float(v))
-        except OverflowError as e:  # an integer beyond the double range
-            raise ParseError(f"{k} is outside the float range") from e
+    comps = [data[k] for k in names]
+    for i, v in enumerate(comps):
+        # json gives a number as float or int; true and false are bools
+        if type(v) is not float:
+            if type(v) is not int:
+                raise ParseError(f"{names[i]} must be a number")
+            try:
+                comps[i] = float(v)
+            except OverflowError as e:  # an integer beyond the double range
+                raise ParseError(f"{names[i]} is outside the float range") \
+                    from e
     try:
-        mat = SymMat2(*comps) if dim == 2 else SymMat3(*comps)
+        mat = SymMat3(*comps) if dim == 3 else SymMat2(*comps)
     except NonFiniteInput as e:
         raise ParseError(str(e)) from e
     return rec_id, dim, mat
@@ -162,8 +183,8 @@ def cmd_solve(in_stream, out_stream):
             continue
         # sorted(eigenvalues, reverse=True) is stable: equal eigenvalues,
         # 0.0 and -0.0 among them, keep their order.  No eigenvalue here is
-        # NaN: where one leaves the double range, diagonalize3 raises
-        # OverflowError, and residuals does for diagonalize2's.
+        # NaN: where one leaves the double range, diagonalize3 and
+        # diagonalize2 raise OverflowError.
         if dim == 3:
             l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
             e1, e2, e3 = "%.17g" % l1, "%.17g" % l2, "%.17g" % l3

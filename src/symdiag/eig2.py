@@ -13,7 +13,8 @@ from .core import EigenDecomp2, SymMat2, wrap_half_pi
 # matrix is treated as a scalar multiple of the identity: phi = 0.
 DEGENERACY_EPS = 1e-14
 # Beyond this largest |entry|, a11 + a22, a11 - a22 or the hypot in
-# eigenvalues2 can overflow; diagonalize2 solves A * 2^-2 instead.
+# eigenvalues2 can overflow; eigenvalues2 and diagonalize2 solve A * 2^-2
+# instead.
 _PRESCALE_ABOVE = 2.0**1021
 
 
@@ -22,11 +23,30 @@ def _sign(x):
     return -1.0 if x < 0.0 else 1.0
 
 
-def eigenvalues2(a: SymMat2):
-    """Both eigenvalues, lambda1 carrying the sign(a11 - a22) branch."""
+def _prescaled(a: SymMat2):
+    """(A, 0), or (A * 2^-2, 2) where the largest |entry| exceeds
+    _PRESCALE_ABOVE: the matrix to solve and the exponent that maps its
+    eigenvalues back.  The scaling is exact, and a matrix in the subnormal
+    range is left as given, so it loses no bit."""
+    if max(map(abs, a)) > _PRESCALE_ABOVE:
+        return SymMat2(*[math.ldexp(x, -2) for x in a]), 2
+    return a, 0
+
+
+def _eigenvalues2(a: SymMat2, e):
+    """The eigenvalues of A * 2^e; ldexp raises OverflowError where one
+    leaves the double range."""
     t = a.a11 + a.a22
     r = _sign(a.a11 - a.a22) * math.hypot(a.a11 - a.a22, 2.0 * a.a12)
-    return 0.5 * (t + r), 0.5 * (t - r)
+    return math.ldexp(0.5 * (t + r), e), math.ldexp(0.5 * (t - r), e)
+
+
+def eigenvalues2(a: SymMat2):
+    """Both eigenvalues, lambda1 carrying the sign(a11 - a22) branch.
+
+    Raises OverflowError where an eigenvalue leaves the double range.
+    """
+    return _eigenvalues2(*_prescaled(a))
 
 
 def rotation_angle2(a: SymMat2):
@@ -47,15 +67,10 @@ def rotation_angle2(a: SymMat2):
 def diagonalize2(a: SymMat2) -> EigenDecomp2:
     """Full closed-form decomposition A = D . diag(l1, l2) . D^T.
 
-    Where the largest |entry| exceeds _PRESCALE_ABOVE, A * 2^-2 is solved
-    and its eigenvalues map back by ldexp, which raises OverflowError where
-    one leaves the double range.  Any other matrix is solved as given, so
-    no entry in the subnormal range loses a bit to the scaling.
+    A matrix with an entry above _PRESCALE_ABOVE is solved as A * 2^-2,
+    its eigenvalues mapped back as eigenvalues2 maps them (OverflowError
+    where one leaves the double range); the angle needs no mapping.
     """
-    if max(map(abs, a)) > _PRESCALE_ABOVE:
-        a = SymMat2(*[math.ldexp(x, -2) for x in a])
-        l1, l2 = [math.ldexp(x, 2) for x in eigenvalues2(a)]
-    else:
-        l1, l2 = eigenvalues2(a)
-    phi = rotation_angle2(a)
-    return EigenDecomp2.from_angle(l1, l2, phi)
+    a, e = _prescaled(a)
+    l1, l2 = _eigenvalues2(a, e)
+    return EigenDecomp2.from_angle(l1, l2, rotation_angle2(a))

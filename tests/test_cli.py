@@ -85,6 +85,65 @@ def corrupt_diagonalize3(monkeypatch):
     monkeypatch.setattr(cli, "diagonalize3", corrupted)
 
 
+# Malformed lines and the exact ParseError text of each, as json.loads and
+# the record checks word it; cmd_solve writes it on an error line.
+PARSE_ERRORS = [
+    ('{"id": "t", "a11": 1.0, "a22":',
+     "invalid JSON: Expecting value: line 1 column 31 (char 30)"),
+    ('{"a11": 1, "a22": 2, "a12": 0} x',
+     "invalid JSON: Extra data: line 1 column 32 (char 31)"),
+    ('\ufeff{"a11": 1, "a22": 2, "a12": 0}',
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+     "line 1 column 1 (char 0)"),
+    ("[" * 100_000,
+     "invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+     "array from a unicode string"),
+    ("[1, 2, 3]", "record must be a JSON object"),
+    ('"s"', "record must be a JSON object"),
+    ("3", "record must be a JSON object"),
+    ("null", "record must be a JSON object"),
+    ('{"id": 7, "a11": 1, "a22": 2, "a12": 0}', "id must be a string"),
+    ('{"a11": 1, "a22": 2}',
+     "unexpected keys ['a11', 'a22']; want ['a11', 'a22', 'a12'] or "
+     "['a11', 'a22', 'a33', 'a12', 'a13', 'a23']"),
+    ('{"a11": 1, "a22": 2, "a12": 0, "extra": 1}',
+     "unexpected keys ['a11', 'a12', 'a22', 'extra']; want ['a11', 'a22', "
+     "'a12'] or ['a11', 'a22', 'a33', 'a12', 'a13', 'a23']"),
+    ('{"a11": true, "a22": 2, "a12": 0}', "a11 must be a number"),
+    ('{"a11": "1", "a22": 2, "a12": 0}', "a11 must be a number"),
+    ('{"a11": [1], "a22": 2, "a12": 0}', "a11 must be a number"),
+    # the type of every entry is checked before any is checked finite
+    ('{"a11": NaN, "a22": 2, "a12": false}', "a12 must be a number"),
+    ('{"a11": NaN, "a22": 2, "a12": 0}', "SymMat2: non-finite component nan"),
+    ('{"a11": 1, "a22": 2, "a33": 3, "a12": 0, "a13": Infinity, "a23": 0}',
+     "SymMat3: non-finite component inf"),
+    ('{"a11": 1, "a22": 2, "a12": -1e999}',
+     "SymMat2: non-finite component -inf"),
+    (long_int_record(400), "a11 is outside the float range"),
+    (long_int_record(5000),
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5000 digits; use sys.set_int_max_str_digits() "
+     "to increase the limit"),
+]
+# Lines that parse, with the record each gives: (id, dim, type, entries).
+PARSED = [
+    (b'{"id": "b", "a11": 1.5, "a22": 2, "a12": -0.25}',
+     ("b", 2, SymMat2, (1.5, 2.0, -0.25))),
+    (' \t{"id": "w", "a11": 1, "a22": 2, "a33": 3, "a12": 0.1, "a13": 0.2,'
+     ' "a23": 0.3}\t\n',
+     ("w", 3, SymMat3, (1.0, 2.0, 3.0, 0.1, 0.2, 0.3))),
+    ('{"id": null, "a11": 1, "a22": 2, "a12": 3}',
+     (None, 2, SymMat2, (1.0, 2.0, 3.0))),
+    # duplicate keys: the last one wins, the id's too
+    ('{"id": "d", "a11": 1, "a22": 2, "a12": 3, "a11": -4.5, "id": "last"}',
+     ("last", 2, SymMat2, (-4.5, 2.0, 3.0))),
+    # the integer -0 is 0, whose float is +0.0; the float -0.0 stays -0.0
+    ('{"id": "i", "a11": -0, "a22": 0, "a33": -0.0, "a12": 7, "a13": -3,'
+     ' "a23": 12345678901234567890}',
+     ("i", 3, SymMat3, (0.0, 0.0, -0.0, 7.0, -3.0, 1.2345678901234567e+19))),
+]
+
+
 class TestParseRecord:
     def test_3x3(self):
         rec_id, dim, m = parse_record(
@@ -128,6 +187,23 @@ class TestParseRecord:
     def test_too_deep_nesting(self):
         with pytest.raises(ParseError):
             parse_record("[" * 100_000 + "]" * 100_000)
+
+    @pytest.mark.parametrize("line, text", PARSE_ERRORS)
+    def test_error_text_and_error_line(self, line, text):
+        with pytest.raises(ParseError) as e:
+            parse_record(line)
+        assert str(e.value) == text
+        out = io.StringIO()
+        assert cmd_solve(io.StringIO(line + "\n"), out) == 2
+        assert out.getvalue() == '{"id": null, "error": %s}\n' % (
+            json.dumps(text))
+
+    @pytest.mark.parametrize("line, want", PARSED)
+    def test_parsed_record(self, line, want):
+        rec_id, dim, mat = parse_record(line)
+        # repr tells -0.0 from 0.0
+        assert (rec_id, dim, type(mat), list(map(repr, mat))) == (
+            *want[:3], list(map(repr, want[3])))
 
 
 def recursive_dumps(obj):

@@ -121,12 +121,15 @@ class TestDiagonalize2:
 
     def test_entries_near_the_double_range_are_prescaled(self):
         # a11 + a22, a11 - a22 or the hypot overflowed here, giving inf or
-        # NaN eigenvalues without a raise; A * 2^-2 is solved instead
+        # NaN eigenvalues without a raise; A * 2^-2 is solved instead, by
+        # the public eigenvalues2 stage as well
         dec = diagonalize2(SymMat2(1e308, -1e308, 0.0))
         assert (dec.lambda1, dec.lambda2, dec.phi) == (1e308, -1e308, 0.0)
+        assert eigenvalues2(SymMat2(1e308, -1e308, 0.0)) == (1e308, -1e308)
         # an eigenvalue of ~2.7e308 is beyond the double range
-        with pytest.raises(OverflowError):
-            diagonalize2(SymMat2(1.7e308, 1.7e308, 1e308))
+        for solve in (diagonalize2, eigenvalues2):
+            with pytest.raises(OverflowError):
+                solve(SymMat2(1.7e308, 1.7e308, 1e308))
 
     def test_prescale_is_exact(self):
         # a matrix with an entry above 2^1021 gives the eigenvalues and
@@ -142,3 +145,4 @@ class TestDiagonalize2:
             assert (got.lambda1, got.lambda2, got.phi) == (
                 math.ldexp(want.lambda1, 600), math.ldexp(want.lambda2, 600),
                 want.phi), m
+            assert eigenvalues2(big) == (got.lambda1, got.lambda2), m

@@ -9,8 +9,11 @@ Input records are one JSON object per line with keys a11, a22, a12 for a
 streams: each line is parsed, solved and written before the next is read.
 ``parse_record`` decodes a line with the C scanner json.loads ends in, and
 hands json.loads only what that scanner rejects or leaves unread, so every
-error message is json.loads's; it then checks the keys and the entries in
-one pass over the dict and builds the matrix with one constructor call.
+error message is json.loads's.  It then fetches the entries with one
+``operator.itemgetter`` call, which also checks the key set, tests their
+types in one chain of ``is`` comparisons and builds the matrix with one
+constructor call; only a record with an entry that is not a float goes
+through the per-entry checks, which convert ints and word every error.
 All floats are serialized as ``"%.17g" % x``, the bytes of
 ``format(float(x), ".17g")``, so output is byte-reproducible.  The
 eigenvectors are the decomposition's ``d_entries``, the fixed-order float
@@ -23,8 +26,11 @@ call the Jacobi oracle's float entry point, and only ``bench`` imports
 numpy, for its random stream and percentiles.  A result line is one
 ``%``-template fill per dimension, straight from the decomposition and its
 residuals, with each distinct float formatted once: eigenvalues_sorted
-reuses the eigenvalue strings and euler_angles the angle strings.  Every
-other record is written by ``_dumps``, which gives a result the same bytes.
+reuses the eigenvalue strings and euler_angles the angle strings.  The id
+goes in as ``null`` or as json's ``encode_basestring_ascii`` of the str,
+the function ``json.dumps`` calls for a str, and the branch as a string
+looked up by the member's name.  Every other record is written by
+``_dumps``, which gives a result the same bytes.
 """
 
 import argparse
@@ -32,8 +38,10 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .core import Branch, NonFiniteInput, SymMat2, SymMat3
 from .eig2 import diagonalize2
@@ -50,8 +58,8 @@ class ParseError(ValueError):
 
 _KEYS2 = ("a11", "a22", "a12")
 _KEYS3 = ("a11", "a22", "a33", "a12", "a13", "a23")
-_KEYSET2 = frozenset(_KEYS2)
-_KEYSET3 = frozenset(_KEYS3)
+_GET2 = operator.itemgetter(*_KEYS2)
+_GET3 = operator.itemgetter(*_KEYS3)
 
 # The scanner json.loads decodes with (the C one where _json is built):
 # one JSON value from a str at an index, and the index after it.
@@ -60,9 +68,10 @@ _scan_once = json.JSONDecoder().scan_once
 # json.dumps(x) with default arguments is this encoder's encode(x).
 _encode = json.JSONEncoder().encode
 
-# Branch member -> its name as JSON; a dict lookup is cheaper than the
-# .value property.
-_BRANCH_JSON = {member: _encode(member.value) for member in Branch}
+# Branch member name -> the member's value as JSON.  Keyed by the name, a
+# str, so the lookup skips the .value property and Enum.__hash__, both
+# Python-level.
+_BRANCH_JSON = {member._name_: _encode(member.value) for member in Branch}
 
 
 def _dumps(obj):
@@ -122,25 +131,35 @@ def parse_record(line):
     rec_id = data.pop("id", None)
     if type(rec_id) is not str and rec_id is not None:
         raise ParseError("id must be a string")
-    keys = data.keys()
-    if keys == _KEYSET3:
-        dim, names = 3, _KEYS3
-    elif keys == _KEYSET2:
-        dim, names = 2, _KEYS2
-    else:
-        raise ParseError(f"unexpected keys {sorted(keys)}; want "
-                         f"{list(_KEYS2)} or {list(_KEYS3)}")
-    comps = [data[k] for k in names]
-    for i, v in enumerate(comps):
-        # json gives a number as float or int; true and false are bools
-        if type(v) is not float:
-            if type(v) is not int:
-                raise ParseError(f"{names[i]} must be a number")
-            try:
-                comps[i] = float(v)
-            except OverflowError as e:  # an integer beyond the double range
-                raise ParseError(f"{names[i]} is outside the float range") \
-                    from e
+    # equal sizes and every key found: the key sets are equal
+    size = len(data)
+    try:
+        if size == 6:
+            dim, names = 3, _KEYS3
+            a11, a22, a33, a12, a13, a23 = comps = _GET3(data)
+            floats = (type(a11) is type(a22) is type(a33) is type(a12)
+                      is type(a13) is type(a23) is float)
+        elif size == 3:
+            dim, names = 2, _KEYS2
+            a11, a22, a12 = comps = _GET2(data)
+            floats = type(a11) is type(a22) is type(a12) is float
+        else:
+            raise KeyError(size)
+    except KeyError:
+        raise ParseError(f"unexpected keys {sorted(data)}; want "
+                         f"{list(_KEYS2)} or {list(_KEYS3)}") from None
+    if not floats:
+        comps = list(comps)
+        for i, v in enumerate(comps):
+            # json gives a number as float or int; true and false are bools
+            if type(v) is not float:
+                if type(v) is not int:
+                    raise ParseError(f"{names[i]} must be a number")
+                try:
+                    comps[i] = float(v)
+                except OverflowError as e:  # an integer beyond the doubles
+                    raise ParseError(f"{names[i]} is outside the float "
+                                     f"range") from e
     try:
         mat = SymMat3(*comps) if dim == 3 else SymMat2(*comps)
     except NonFiniteInput as e:
@@ -181,6 +200,9 @@ def cmd_solve(in_stream, out_stream):
                                      f"{type(e).__name__}: {e}"}) + "\n")
             n_fail += 1
             continue
+        # what json.dumps gives for the id: ParseError rules out the rest
+        id_json = ("null" if rec_id is None
+                   else encode_basestring_ascii(rec_id))
         # sorted(eigenvalues, reverse=True) is stable: equal eigenvalues,
         # 0.0 and -0.0 among them, keep their order.  No eigenvalue here is
         # NaN: where one leaves the double range, diagonalize3 and
@@ -204,9 +226,9 @@ def cmd_solve(in_stream, out_stream):
             angles = "%.17g, %.17g, %.17g" % dec.angles
             d11, d12, d13, d21, d22, d23, d31, d32, d33 = dec.d_entries
             text = _RESULT3 % (
-                _encode(rec_id), e1, e2, e3, s1, s2, s3, angles, angles,
+                id_json, e1, e2, e3, s1, s2, s3, angles, angles,
                 d11, d21, d31, d12, d22, d32, d13, d23, d33,
-                _BRANCH_JSON[dec.branch], recon, ortho, max(eigvec))
+                _BRANCH_JSON[dec.branch._name_], recon, ortho, max(eigvec))
         else:
             l1, l2 = dec.lambda1, dec.lambda2
             e1, e2 = "%.17g" % l1, "%.17g" % l2
@@ -214,7 +236,7 @@ def cmd_solve(in_stream, out_stream):
             angles = "%.17g" % dec.phi
             d11, d12, d21, d22 = dec.d_entries
             text = _RESULT2 % (
-                _encode(rec_id), e1, e2, s1, s2, angles, angles,
+                id_json, e1, e2, s1, s2, angles, angles,
                 d11, d21, d12, d22, recon, ortho, max(eigvec))
         out_stream.write(text)
         n_ok += 1

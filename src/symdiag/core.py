@@ -39,6 +39,31 @@ def _require_finite(name, *values):
             raise NonFiniteInput(f"{name}: non-finite component {v!r}")
 
 
+def _fro_norm3(a11, a22, a33, a12, a13, a23):
+    """||A||_F of a symmetric 3x3 from its unique entries, and of a 2x2 as
+    the leading block of diag(A, 0): the zeros add exact zeros.
+
+    Where a square or their sum overflows, the entries are scaled by 2^-e
+    first, exactly, with e from frexp of the largest |entry| less one, and
+    the norm by 2^e after, so no finite matrix raises; inf where the norm
+    itself exceeds the double range, as math.hypot gives.
+    """
+    try:
+        norm = math.sqrt(a11**2 + a22**2 + a33**2
+                         + 2.0 * (a12**2 + a13**2 + a23**2))
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        entries = (a11, a22, a33, a12, a13, a23)
+        e = math.frexp(max(map(abs, entries)))[1] - 1
+        norm = _fro_norm3(*[math.ldexp(x, -e) for x in entries])
+        try:
+            norm = math.ldexp(norm, e)
+        except OverflowError:
+            norm = math.inf
+    return norm
+
+
 def _checked_make(cls, values):
     """_make, and so _replace, through the checking constructor."""
     return cls(*values)
@@ -96,7 +121,8 @@ class SymMat2(_SymMat2):
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
     def fro_norm(self):
-        return math.sqrt(self.a11**2 + self.a22**2 + 2.0 * self.a12**2)
+        """||A||_F; inf only where it exceeds the double range."""
+        return _fro_norm3(self.a11, self.a22, 0.0, self.a12, 0.0, 0.0)
 
     def scale(self):
         """max(1, ||A||_F), the normalizer used by all tolerances."""
@@ -156,8 +182,8 @@ class SymMat3(_SymMat3):
                          [self.a13, self.a23, self.a33]])
 
     def fro_norm(self):
-        return math.sqrt(self.a11**2 + self.a22**2 + self.a33**2
-                         + 2.0 * (self.a12**2 + self.a13**2 + self.a23**2))
+        """||A||_F; inf only where it exceeds the double range."""
+        return _fro_norm3(*self)
 
     def scale(self):
         return max(1.0, self.fro_norm())

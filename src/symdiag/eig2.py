@@ -28,9 +28,11 @@ def _prescaled(a: SymMat2):
     _PRESCALE_ABOVE: the matrix to solve and the exponent that maps its
     eigenvalues back.  The scaling is exact, and a matrix in the subnormal
     range is left as given, so it loses no bit."""
-    if max(map(abs, a)) > _PRESCALE_ABOVE:
-        return SymMat2(*[math.ldexp(x, -2) for x in a]), 2
-    return a, 0
+    a11, a22, a12 = a
+    top = _PRESCALE_ABOVE
+    if -top <= a11 <= top and -top <= a22 <= top and -top <= a12 <= top:
+        return a, 0
+    return SymMat2(*[math.ldexp(x, -2) for x in a]), 2
 
 
 def _eigenvalues2(a: SymMat2, e):
@@ -55,8 +57,15 @@ def rotation_angle2(a: SymMat2):
     Half the quadrant-aware arctangent of 2*a12 over a11 - a22, evaluated on
     sign-corrected arguments so the branch stays consistent with the
     eigenvalue convention (the plain single-argument arctangent would, but
-    divides by zero when a11 = a22).
+    divides by zero when a11 = a22).  It is evaluated on A * 2^-2 where
+    diagonalize2 prescales, so that neither argument overflows; the angle
+    is that of A.
     """
+    return _rotation_angle2(_prescaled(a)[0])
+
+
+def _rotation_angle2(a: SymMat2):
+    """rotation_angle2 of a matrix _prescaled leaves as it is."""
     eps = DEGENERACY_EPS * max(abs(a.a11), abs(a.a22), abs(a.a12))
     if abs(a.a11 - a.a22) <= eps and abs(a.a12) <= eps:
         return 0.0
@@ -73,4 +82,4 @@ def diagonalize2(a: SymMat2) -> EigenDecomp2:
     """
     a, e = _prescaled(a)
     l1, l2 = _eigenvalues2(a, e)
-    return EigenDecomp2.from_angle(l1, l2, rotation_angle2(a))
+    return EigenDecomp2.from_angle(l1, l2, _rotation_angle2(a))

@@ -239,12 +239,6 @@ def reconstruct(d, lambdas):
     return d @ np.diag(lambdas) @ d.T
 
 
-def _sym_norm3(e11, e22, e33, e12, e13, e23):
-    """Frobenius norm of a symmetric 3x3 from its six unique entries."""
-    return math.sqrt(e11 * e11 + e22 * e22 + e33 * e33
-                     + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23))
-
-
 def residuals(a, dec):
     """(relative reconstruction residual, orthogonality defect, eigenvector residuals).
 
@@ -275,6 +269,7 @@ def residuals(a, dec):
     that OverflowError.
     """
     d = dec.d_entries
+    sqrt = math.sqrt
     if len(d) == 4:
         a11, a22, a12 = a
         a33 = a13 = a23 = 0.0
@@ -286,51 +281,56 @@ def residuals(a, dec):
         a11, a22, a33, a12, a13, a23 = a
         l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
         d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
-    while True:
-        try:
-            scale = math.sqrt(a11**2 + a22**2 + a33**2
-                              + 2.0 * (a12**2 + a13**2 + a23**2))
-            break
-        except OverflowError:
-            if not (math.isfinite(l1) and math.isfinite(l2)
-                    and math.isfinite(l3)):
-                raise
-            e = 1 - math.frexp(max(map(abs, a)))[1]
-            a11, a22, a33, a12, a13, a23, l1, l2, l3 = [
-                math.ldexp(x, e)
-                for x in (a11, a22, a33, a12, a13, a23, l1, l2, l3)]
+    try:
+        scale = sqrt(a11**2 + a22**2 + a33**2
+                     + 2.0 * (a12**2 + a13**2 + a23**2))
+    except OverflowError:
+        if not (math.isfinite(l1) and math.isfinite(l2)
+                and math.isfinite(l3)):
+            raise
+        e = 1 - math.frexp(max(map(abs, a)))[1]
+        a11, a22, a33, a12, a13, a23, l1, l2, l3 = [
+            math.ldexp(x, e)
+            for x in (a11, a22, a33, a12, a13, a23, l1, l2, l3)]
+        scale = sqrt(a11**2 + a22**2 + a33**2
+                     + 2.0 * (a12**2 + a13**2 + a23**2))
     if not scale > 1.0:  # max(1.0, scale)
         scale = 1.0
     # the rows of D diag(lambdas)
     p11, p12, p13 = d11 * l1, d12 * l2, d13 * l3
     p21, p22, p23 = d21 * l1, d22 * l2, d23 * l3
     p31, p32, p33 = d31 * l1, d32 * l2, d33 * l3
-    recon = _sym_norm3(p11 * d11 + p12 * d12 + p13 * d13 - a11,
-                       p21 * d21 + p22 * d22 + p23 * d23 - a22,
-                       p31 * d31 + p32 * d32 + p33 * d33 - a33,
-                       p11 * d21 + p12 * d22 + p13 * d23 - a12,
-                       p11 * d31 + p12 * d32 + p13 * d33 - a13,
-                       p21 * d31 + p22 * d32 + p23 * d33 - a23)
-    ortho = _sym_norm3(d11 * d11 + d21 * d21 + d31 * d31 - 1.0,
-                       d12 * d12 + d22 * d22 + d32 * d32 - 1.0,
-                       d13 * d13 + d23 * d23 + d33 * d33 - 1.0,
-                       d11 * d12 + d21 * d22 + d31 * d32,
-                       d11 * d13 + d21 * d23 + d31 * d33,
-                       d12 * d13 + d22 * d23 + d32 * d33)
+    # the unique entries of D diag(lambdas) D^T - A and of D^T D - I
+    r11 = p11 * d11 + p12 * d12 + p13 * d13 - a11
+    r22 = p21 * d21 + p22 * d22 + p23 * d23 - a22
+    r33 = p31 * d31 + p32 * d32 + p33 * d33 - a33
+    r12 = p11 * d21 + p12 * d22 + p13 * d23 - a12
+    r13 = p11 * d31 + p12 * d32 + p13 * d33 - a13
+    r23 = p21 * d31 + p22 * d32 + p23 * d33 - a23
+    o11 = d11 * d11 + d21 * d21 + d31 * d31 - 1.0
+    o22 = d12 * d12 + d22 * d22 + d32 * d32 - 1.0
+    o33 = d13 * d13 + d23 * d23 + d33 * d33 - 1.0
+    o12 = d11 * d12 + d21 * d22 + d31 * d32
+    o13 = d11 * d13 + d21 * d23 + d31 * d33
+    o23 = d12 * d13 + d22 * d23 + d32 * d33
+    recon = sqrt(r11 * r11 + r22 * r22 + r33 * r33
+                 + 2.0 * (r12 * r12 + r13 * r13 + r23 * r23))
+    ortho = sqrt(o11 * o11 + o22 * o22 + o33 * o33
+                 + 2.0 * (o12 * o12 + o13 * o13 + o23 * o23))
     # ||A x - lambda x|| for the columns x of D
     eigvec = [
-        math.sqrt((a11 * d11 + a12 * d21 + a13 * d31 - l1 * d11) ** 2
-                  + (a12 * d11 + a22 * d21 + a23 * d31 - l1 * d21) ** 2
-                  + (a13 * d11 + a23 * d21 + a33 * d31 - l1 * d31) ** 2)
+        sqrt((a11 * d11 + a12 * d21 + a13 * d31 - l1 * d11) ** 2
+             + (a12 * d11 + a22 * d21 + a23 * d31 - l1 * d21) ** 2
+             + (a13 * d11 + a23 * d21 + a33 * d31 - l1 * d31) ** 2)
         / scale,
-        math.sqrt((a11 * d12 + a12 * d22 + a13 * d32 - l2 * d12) ** 2
-                  + (a12 * d12 + a22 * d22 + a23 * d32 - l2 * d22) ** 2
-                  + (a13 * d12 + a23 * d22 + a33 * d32 - l2 * d32) ** 2)
+        sqrt((a11 * d12 + a12 * d22 + a13 * d32 - l2 * d12) ** 2
+             + (a12 * d12 + a22 * d22 + a23 * d32 - l2 * d22) ** 2
+             + (a13 * d12 + a23 * d22 + a33 * d32 - l2 * d32) ** 2)
         / scale]
     if len(d) == 9:
         eigvec.append(
-            math.sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
-                      + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
-                      + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
+            sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
+                 + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
+                 + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
             / scale)
     return recon / scale, ortho, eigvec

@@ -141,6 +141,25 @@ PARSED = [
     ('{"id": "i", "a11": -0, "a22": 0, "a33": -0.0, "a12": 7, "a13": -3,'
      ' "a23": 12345678901234567890}',
      ("i", 3, SymMat3, (0.0, 0.0, -0.0, 7.0, -3.0, 1.2345678901234567e+19))),
+    # ids with non-ASCII characters, escapes and control characters, raw
+    # and \u-escaped, and a 3x3 with a null id
+    (r'{"id": "\u00fcn\u00efc\u00f8d\u00e9 \\ \"q\" \n\t\u0000 \ud83d\ude00",'
+     ' "a11": 2.0, "a22": 1.0, "a12": 0.5}',
+     ("\u00fcn\u00efc\u00f8d\u00e9 \\ \"q\" \n\t\x00 \U0001f600", 2, SymMat2,
+      (2.0, 1.0, 0.5))),
+    ('{"id": "\u4e2d\u6587 \u00e9/\x7f", "a11": 2.0, "a22": 1.0, "a33": 0.5,'
+     ' "a12": 0.3, "a13": -0.2, "a23": 0.1}',
+     ("\u4e2d\u6587 \u00e9/\x7f", 3, SymMat3, (2.0, 1.0, 0.5, 0.3, -0.2, 0.1))),
+    ('{"a11": 0.5, "a22": 1.0, "a33": 2.0, "a12": 0.25, "a13": 0.0,'
+     ' "a23": -0.75, "id": null}',
+     (None, 3, SymMat3, (0.5, 1.0, 2.0, 0.25, 0.0, -0.75))),
+    # a 3x3 mixing ints and floats
+    ('{"id": "mix", "a11": 3, "a22": -1.5, "a33": 0, "a12": 0.001,'
+     ' "a13": -2, "a23": 1e-300}',
+     ("mix", 3, SymMat3, (3.0, -1.5, 0.0, 0.001, -2.0, 1e-300))),
+    # a 2x2 at the top of the double range: a11 - a22 overflows
+    ('{"id": "top2", "a11": 1e308, "a22": -1e308, "a12": 5e307}',
+     ("top2", 2, SymMat2, (1e308, -1e308, 5e307))),
 ]
 
 
@@ -204,6 +223,19 @@ class TestParseRecord:
         # repr tells -0.0 from 0.0
         assert (rec_id, dim, type(mat), list(map(repr, mat))) == (
             *want[:3], list(map(repr, want[3])))
+
+
+    @pytest.mark.parametrize("line, want", PARSED)
+    def test_solve_line_of_a_parsed_record(self, line, want):
+        """The line ``solve`` writes for each line of PARSED is _dumps, and
+        recursive_dumps, of the result record of the record it parses
+        to."""
+        rec_id, dim, cls, entries = want
+        out = io.StringIO()
+        assert cmd_solve([line], out) == 0
+        record = result_record(rec_id, dim, cls(*entries))
+        assert out.getvalue() == _dumps(record) + "\n"
+        assert out.getvalue() == recursive_dumps(record) + "\n"
 
 
 def recursive_dumps(obj):

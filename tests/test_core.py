@@ -140,6 +140,49 @@ class TestValueTypes:
     def test_scale_floor_is_one(self):
         assert SymMat3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0).scale() == 1.0
 
+    def test_fro_norm_keeps_its_bits_where_no_square_overflows(self):
+        """The sum of squares as it was written, on entries whose largest
+        |entry| is 2^k, k from -1074 to 510, so no square overflows."""
+        rng = np.random.default_rng(35)
+        for k in rng.integers(-1074, 511, 3000).tolist():
+            a = [math.ldexp(x, k) for x in rng.uniform(-1.0, 1.0, 6)]
+            m3, m2 = SymMat3(*a), SymMat2(*a[:3])
+            assert m3.fro_norm() == math.sqrt(
+                a[0]**2 + a[1]**2 + a[2]**2
+                + 2.0 * (a[3]**2 + a[4]**2 + a[5]**2)), a
+            assert m2.fro_norm() == math.sqrt(
+                a[0]**2 + a[1]**2 + 2.0 * a[2]**2), a
+
+    @pytest.mark.parametrize("entries", [
+        (1e200, 2e200, 3e200, 1e199, 2e199, 3e199),
+        (1e308, -5e307, 0.0, 3e307, 0.0, 0.0),
+        (1e300, 1e-300, -1e154, 5e-324, 2e250, -3e200),
+        # no square overflows, their sum does
+        (1.2e154, 1.2e154, 1.2e154, 1.2e154, 1.2e154, 1.2e154),
+    ])
+    def test_fro_norm_and_scale_of_huge_entries(self, entries):
+        """Entries whose squares overflow give the norm of the exactly
+        prescaled matrix, within rounding, and raise nowhere."""
+        exp = math.frexp(max(map(abs, entries)))[1]
+        unit = [math.ldexp(x, -exp) for x in entries]
+        m3 = SymMat3(*entries)
+        want3 = math.ldexp(float(np.linalg.norm(SymMat3(*unit).to_array())),
+                           exp)
+        assert m3.fro_norm() == pytest.approx(want3, rel=1e-15)
+        assert m3.scale() == m3.fro_norm()
+        m2 = SymMat2(entries[0], entries[1], entries[3])
+        want2 = math.ldexp(float(np.linalg.norm(
+            SymMat2(unit[0], unit[1], unit[3]).to_array())), exp)
+        assert m2.fro_norm() == pytest.approx(want2, rel=1e-15)
+        assert m2.scale() == m2.fro_norm()
+
+    def test_fro_norm_beyond_the_double_range_is_inf(self):
+        big = 1.7e308
+        assert SymMat3(big, big, big, big, big, big).fro_norm() == math.inf
+        assert SymMat3(big, big, big, big, big, big).scale() == math.inf
+        assert SymMat2(big, big, big).fro_norm() == math.inf
+        assert SymMat2(big, -big, 0.0).scale() == math.inf
+
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteInput):
             SymMat3(math.nan, 0, 0, 0, 0, 0)

@@ -70,6 +70,19 @@ class TestRotationAngle2:
     def test_scalar_matrix_angle_zero(self):
         assert rotation_angle2(SymMat2(4.0, 4.0, 0.0)) == 0.0
 
+    @pytest.mark.parametrize("entries", [(1e308, -1e308, 5e307),
+                                         (1.2e308, -1.2e308, -1e306),
+                                         (5e307, -5e307, 1e308),
+                                         (2.0**1021 * 1.5, 0.0, 1.0)])
+    def test_top_of_the_double_range(self, entries):
+        """Where a11 - a22 or 2 a12 overflows, the angle is diagonalize2's,
+        which solves the exactly prescaled matrix, not atan2 of inf."""
+        m = SymMat2(*entries)
+        assert rotation_angle2(m) == diagonalize2(m).phi
+        a11, a22, a12 = (math.ldexp(x, -2) for x in entries)
+        assert rotation_angle2(m) == pytest.approx(
+            0.5 * math.atan2(2.0 * a12, a11 - a22), abs=1e-15)
+
     def test_swap_flips_sign_mod_pi(self):
         rng = np.random.default_rng(23)
         for _ in range(500):

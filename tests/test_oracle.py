@@ -393,3 +393,139 @@ class TestResiduals:
                 assert repr(residuals(m2, dec2)) == repr(
                     (recon, ortho, eigvec[:2])), m2
                 assert repr(eigvec[2]) == "0.0", m2
+
+
+def residuals_reference(a, dec):
+    """residuals as written with a loop around its prescale and a helper
+    for the two norms, kept as the bit-for-bit reference."""
+    def sym_norm3(e11, e22, e33, e12, e13, e23):
+        return math.sqrt(e11 * e11 + e22 * e22 + e33 * e33
+                         + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23))
+
+    d = dec.d_entries
+    if len(d) == 4:
+        a11, a22, a12 = a
+        a33 = a13 = a23 = 0.0
+        l1, l2, l3 = dec.lambda1, dec.lambda2, 0.0
+        d11, d12, d21, d22 = d
+        d13 = d23 = d31 = d32 = 0.0
+        d33 = 1.0
+    else:
+        a11, a22, a33, a12, a13, a23 = a
+        l1, l2, l3 = dec.lambda1, dec.lambda2, dec.lambda3
+        d11, d12, d13, d21, d22, d23, d31, d32, d33 = d
+    while True:
+        try:
+            scale = math.sqrt(a11**2 + a22**2 + a33**2
+                              + 2.0 * (a12**2 + a13**2 + a23**2))
+            break
+        except OverflowError:
+            if not (math.isfinite(l1) and math.isfinite(l2)
+                    and math.isfinite(l3)):
+                raise
+            e = 1 - math.frexp(max(map(abs, a)))[1]
+            a11, a22, a33, a12, a13, a23, l1, l2, l3 = [
+                math.ldexp(x, e)
+                for x in (a11, a22, a33, a12, a13, a23, l1, l2, l3)]
+    if not scale > 1.0:
+        scale = 1.0
+    p11, p12, p13 = d11 * l1, d12 * l2, d13 * l3
+    p21, p22, p23 = d21 * l1, d22 * l2, d23 * l3
+    p31, p32, p33 = d31 * l1, d32 * l2, d33 * l3
+    recon = sym_norm3(p11 * d11 + p12 * d12 + p13 * d13 - a11,
+                      p21 * d21 + p22 * d22 + p23 * d23 - a22,
+                      p31 * d31 + p32 * d32 + p33 * d33 - a33,
+                      p11 * d21 + p12 * d22 + p13 * d23 - a12,
+                      p11 * d31 + p12 * d32 + p13 * d33 - a13,
+                      p21 * d31 + p22 * d32 + p23 * d33 - a23)
+    ortho = sym_norm3(d11 * d11 + d21 * d21 + d31 * d31 - 1.0,
+                      d12 * d12 + d22 * d22 + d32 * d32 - 1.0,
+                      d13 * d13 + d23 * d23 + d33 * d33 - 1.0,
+                      d11 * d12 + d21 * d22 + d31 * d32,
+                      d11 * d13 + d21 * d23 + d31 * d33,
+                      d12 * d13 + d22 * d23 + d32 * d33)
+    eigvec = [
+        math.sqrt((a11 * d11 + a12 * d21 + a13 * d31 - l1 * d11) ** 2
+                  + (a12 * d11 + a22 * d21 + a23 * d31 - l1 * d21) ** 2
+                  + (a13 * d11 + a23 * d21 + a33 * d31 - l1 * d31) ** 2)
+        / scale,
+        math.sqrt((a11 * d12 + a12 * d22 + a13 * d32 - l2 * d12) ** 2
+                  + (a12 * d12 + a22 * d22 + a23 * d32 - l2 * d22) ** 2
+                  + (a13 * d12 + a23 * d22 + a33 * d32 - l2 * d32) ** 2)
+        / scale]
+    if len(d) == 9:
+        eigvec.append(
+            math.sqrt((a11 * d13 + a12 * d23 + a13 * d33 - l3 * d13) ** 2
+                      + (a12 * d13 + a22 * d23 + a23 * d33 - l3 * d23) ** 2
+                      + (a13 * d13 + a23 * d23 + a33 * d33 - l3 * d33) ** 2)
+            / scale)
+    return recon / scale, ortho, eigvec
+
+
+class TestResidualsPin:
+    """residuals gives, bit for bit, what residuals_reference gives."""
+
+    def test_bit_identical_to_the_reference(self):
+        """20 400 decompositions: 3x3 and 2x2, random, clustered
+        (DoubleRoot), structured and small-integer, at unit scale and with
+        the entries of each matrix scaled by 2^k, k uniform in
+        [-1070, 1020], so that squares underflow, overflow (the prescale)
+        or both; and a fifth with D perturbed by 1e-6, so that the
+        residuals are far from rounding level."""
+        rng = np.random.default_rng(58)
+        mats = [random_sym3(rng) for _ in range(3000)]
+        mats += [clustered_sym3(rng, (0.0, 1e-9, 1.0)[i % 3])
+                 for i in range(1500)]
+        mats += [structured_sym3(rng) for _ in range(1000)]
+        mats += [SymMat3(*row) for row in rng.integers(-3, 4, (500, 6))]
+        mats += [SymMat3(*(math.ldexp(x, k) for x in random_sym3(rng)))
+                 for k in rng.integers(-1070, 1021, 6000).tolist()]
+        mats += [random_sym2(rng) for _ in range(2000)]
+        mats += [SymMat2(*row) for row in rng.integers(-3, 4, (500, 3))]
+        mats += [SymMat2(*(math.ldexp(x, k) for x in random_sym2(rng)))
+                 for k in rng.integers(-1070, 1021, 2500).tolist()]
+        decs = [(m, diagonalize3(m) if isinstance(m, SymMat3)
+                 else diagonalize2(m)) for m in mats]
+        for m, dec in decs[::5]:
+            d = tuple(x + 1e-6 * rng.standard_normal()
+                      for x in dec.d_entries)
+            decs.append((m, EigenDecomp3(*dec.lambdas, dec.angles, d)
+                         if isinstance(dec, EigenDecomp3)
+                         else EigenDecomp2(dec.lambda1, dec.lambda2,
+                                           dec.phi, d)))
+        assert len(decs) >= 20_000
+        prescaled = 0
+        for m, dec in decs:
+            assert repr(residuals(m, dec)) == repr(
+                residuals_reference(m, dec)), m
+            prescaled += max(map(abs, m)) > 2.0**511
+        assert prescaled > 1000
+
+    @pytest.mark.parametrize("m, dec", [
+        (SymMat3(1e300, 1.0, -1e300, 0.0, 0.0, 0.0),
+         EigenDecomp3(math.inf, 1.0, -1e300, Angles3(0.0, 0.0, 0.0),
+                      rotation_entries(0.0, 0.0, 0.0))),
+        (SymMat3(1e300, 1.0, -1e300, 0.0, 0.0, 0.0),
+         EigenDecomp3(1e300, math.nan, -1e300, Angles3(0.0, 0.0, 0.0),
+                      rotation_entries(0.0, 0.0, 0.0))),
+        (SymMat2(1e300, -1e300, 0.0),
+         EigenDecomp2(1e300, -math.inf, 0.0, (1.0, 0.0, 0.0, 1.0))),
+    ])
+    def test_same_raise_on_a_non_finite_eigenvalue(self, m, dec):
+        """Where a square overflows and an eigenvalue is not finite, both
+        raise OverflowError."""
+        with pytest.raises(OverflowError):
+            residuals_reference(m, dec)
+        with pytest.raises(OverflowError):
+            residuals(m, dec)
+
+    def test_same_values_on_a_non_finite_eigenvalue_at_unit_scale(self):
+        """Where no square overflows, neither raises, and both give the
+        same inf and nan."""
+        m = SymMat3(2.0, 1.0, 0.5, 0.0, 0.0, 0.0)
+        for lambdas in ((math.inf, 1.0, 0.5), (2.0, math.nan, 0.5),
+                        (2.0, 1.0, -math.inf)):
+            dec = EigenDecomp3(*lambdas, Angles3(0.0, 0.0, 0.0),
+                               rotation_entries(0.0, 0.0, 0.0))
+            assert repr(residuals(m, dec)) == repr(
+                residuals_reference(m, dec))

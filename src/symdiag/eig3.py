@@ -7,21 +7,21 @@ phi2 and phi3 are rational in the matrix entries and eigenvalues, which
 leaves their signs.  D is invariant under (phi1 + pi, -phi2, -phi3), so
 only (+,+) and (+,-) are distinct rotations; the generic branch picks the
 one whose two independent estimates of phi1 (one from each of two 2-vector
-identities) agree, scoring both in straight-line code (_select_signs).
-The double-root branch (phi3 = 0) has one rotation left and scores
-nothing.  Both branches share the f-vectors (_f_route), the g-vector
-formula (_g_components), the phi1 estimate of each route (_route_angle),
-the choice of the returned phi1 (_assemble_angles) and, with the Jacobi
-correction, the twin rule that keeps the signs right when an angle is
-wrapped by pi (_half_turn_apart).  The generic branch recovers the digits
-arccos(sqrt(.)) loses near 0 and pi/2 by one Jacobi correction
-(_polish_angles); the double-root branch, which is not corrected, by its
-own arcsine swap.  Every squared cosine is clamped to [0, 1] (_clamp_unit)
-rather than rejected, so compute_pq's classification alone picks the
-branch: a quotient made noisy by rounding gives a roughly right D, which
-the correction repairs on the generic branch.  resolve_signs and
-degenerate_double return the SolveReport fields as a tuple; diagonalize3
-builds each solve's one report, on A normalized as diagonalize3 says.
+identities) agree.  The double-root branch (phi3 = 0) has one rotation
+left and scores nothing.  Both branches run one straight-line routing
+body (_route_phi1): the f-vectors, the phi1 estimate of each route, the
+scores, the choice of the returned phi1 and the twin rule that keeps the
+signs right when an angle is wrapped by pi (as _half_turn_apart, which the
+Jacobi correction calls), on the g-vector formula (_g_components).  The
+generic branch recovers the digits arccos(sqrt(.)) loses near 0 and pi/2
+by one Jacobi correction (_polish_angles); the double-root branch, which
+is not corrected, by its own arcsine swap.  Every squared cosine is
+clamped to [0, 1] (_clamp_unit) rather than rejected, so compute_pq's
+classification alone picks the branch: a quotient made noisy by rounding
+gives a roughly right D, which the correction repairs on the generic
+branch.  resolve_signs and degenerate_double return the SolveReport
+fields as a tuple; diagonalize3 builds each solve's one report, on A
+normalized as diagonalize3 says.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
@@ -35,7 +35,6 @@ from typing import NamedTuple
 # floats to EigenDecomp3.  It stays a name of this module, which the
 # benchmark's layer trace (perfbench/spans.py) patches.
 from .core import (
-    AngleOfZeroVector,
     Angles3,
     Branch,
     EigenDecomp3,
@@ -50,6 +49,7 @@ from .core import (
 # tuple.__new__ fills them without running a Python-level __new__.
 _tuple_new = tuple.__new__
 _HALF_PI = 0.5 * math.pi
+_TWO_PI = 2.0 * math.pi
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 _ZERO_ANGLES = Angles3(0.0, 0.0, 0.0)  # of every TripleRoot result
 # A global name is read faster than an Enum member through its class.
@@ -221,28 +221,11 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
     return _clamp_unit((a.a11 - l3 + (l3 - l2) * v) / ((l1 - l2) * v))
 
 
-def _f_route(a: SymMat3, scale):
-    """The f-vectors f1, f2 with their norms, zero tolerance and directions.
-
-    cs1/cs2 are the (cos, sin) of the f-vector angles psi1, psi2; an
-    f-vector at or below tol_f gets the placeholder direction (1, 0).
-    """
-    _, a22, a33, a12, a13, a23 = a
-    f1x, f1y = a12, -a13
-    f2x, f2y = a22 - a33, -2.0 * a23
-    n1 = math.hypot(f1x, f1y)
-    n2 = math.hypot(f2x, f2y)
-    tol_f = F_ZERO_EPS * scale
-    cs1 = (f1x / n1, f1y / n1) if n1 > tol_f else (1.0, 0.0)
-    cs2 = (f2x / n2, f2y / n2) if n2 > tol_f else (1.0, 0.0)
-    return (f1x, f1y), (f2x, f2y), n1, n2, tol_f, cs1, cs2
-
-
 def f_vectors(a: SymMat3):
-    """The two entry-built 2-vectors used to recover phi1."""
+    """The two entry-built 2-vectors used to recover phi1: f1 = (a12, -a13)
+    and f2 = (a22 - a33, -2 a23), as _route_phi1 builds them."""
     import numpy as np
-    f1, f2 = _f_route(a, a.scale())[:2]
-    return np.array(f1), np.array(f2)
+    return np.array((a.a12, -a.a13)), np.array((a.a22 - a.a33, -2.0 * a.a23))
 
 
 def _g_components(gap12, gap23, phi2, phi3, v, w):
@@ -268,65 +251,6 @@ def g_vectors(lambdas, phi2, phi3, v, w):
     return np.array([g1x, g1y]), np.array([g2x, g2y])
 
 
-def _route_angle(n, tol_f, cs, gx, gy):
-    """angle_of(R(-psi) . g) for one f/g route, computed without building
-    the matrix; NaN where the route is unavailable.
-
-    n is the f-vector's norm and cs = (cos psi, sin psi) its direction.  A
-    route needs both its f-vector above tol_f and its g-vector nonzero; the
-    latter can underflow to exactly zero for nearly diagonal matrices whose
-    angle quotients round to their endpoints.
-    """
-    if n > tol_f and (gx != 0.0 or gy != 0.0):
-        cos_psi, sin_psi = cs
-        x = cos_psi * gx + sin_psi * gy
-        y = -sin_psi * gx + cos_psi * gy
-        if x == 0.0 and y == 0.0:
-            raise AngleOfZeroVector("angle_of requires a nonzero vector")
-        a = math.atan2(y, x)
-        return math.pi if a == -math.pi else a
-    return math.nan
-
-
-def _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3):
-    """phi1 estimate from each f/g route; NaN where the route is unavailable.
-
-    g holds the g-vector components at the angle magnitudes; s2, s3 are the
-    signs of phi2 and phi3.  The f1/g1 route gives phi1, the f2/g2 route
-    2 phi1.
-    """
-    g1x, g1y, g2x, g2y = g
-    return (_route_angle(n1, tol_f, cs1, s3 * g1x, s2 * g1y),
-            0.5 * _route_angle(n2, tol_f, cs2, g2x, s2 * s3 * g2y))
-
-
-def _select_signs(n1, n2, tol_f, cs1, cs2, g):
-    """Pick (+,+) or (+,-), the two distinct rotations, by phi1 agreement.
-
-    Both are scored in straight-line code, as _phi1_candidates would score
-    them: flipping phi3 negates g1x on the f1/g1 route and g2y on the f2/g2
-    route.  With both routes available, the smaller wrapped mod-pi
-    difference between the two phi1 estimates wins and a tie within
-    TIE_EPS goes to (+,+); near_tie flags a loser more than TIE_EPS and at
-    most NEAR_TIE_EPS behind.  With a single route (+,+) is used.  Returns
-    the selected (s2, s3, p11, p12, diff), both candidates and near_tie.
-    """
-    g1x, g1y, g2x, g2y = g
-    p11 = _route_angle(n1, tol_f, cs1, g1x, g1y)
-    q11 = _route_angle(n1, tol_f, cs1, -g1x, g1y)
-    p12 = 0.5 * _route_angle(n2, tol_f, cs2, g2x, g2y)
-    q12 = 0.5 * _route_angle(n2, tol_f, cs2, g2x, -g2y)
-    # wrapped_diff_mod_pi of each pair; NaN with one route only
-    d1 = abs(math.remainder(p11 - p12, math.pi))
-    d2 = abs(math.remainder(q11 - q12, math.pi))
-    first, second = candidates = ((1, 1, p11, p12, d1),
-                                  (1, -1, q11, q12, d2))
-    # a NaN difference compares false: (+,+), no near-tie
-    if d1 > d2 + TIE_EPS:
-        return second, candidates, d1 - d2 <= NEAR_TIE_EPS
-    return first, candidates, d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
-
-
 def _half_turn_apart(full, rep):
     """Whether rep is nearer full + pi than full on the circle of period 2pi.
 
@@ -338,29 +262,107 @@ def _half_turn_apart(full, rep):
     return abs(math.remainder(full - rep, 2.0 * math.pi)) > 0.5 * math.pi
 
 
-def _assemble_angles(n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag):
-    """Final triple with a consistent phi1 representative.
+def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
+    """phi1 from the f/g routes, the signs of phi2 and phi3, and the angles.
 
-    phi1 is returned as wrap_half_pi of the routed estimate: p11, unless
-    it is NaN or p12 is available with the longer f-vector (0 when neither
+    g is _g_components at the magnitudes phi2_mag, phi3_mag in [0, pi/2].
+    With the f-vectors' norms n1, n2 and directions (c, s) = (cos psi, sin
+    psi), phi1 is the angle of R(-psi1) g1 (the f1/g1 route, p11) and 2 phi1
+    that of R(-psi2) g2 (the f2/g2 route, 2 p12), in (-pi, pi] as angle_of
+    gives it.  A route needs its f-vector above tol_f = F_ZERO_EPS * scale
+    and its g-vector nonzero, and is NaN otherwise.  Its rotated g-vector is
+    then nonzero: (c, s) is a unit vector to rounding, and c gx + s gy =
+    c gy - s gx = 0 with unrounded products would give c s gx^2 = -c s gy^2,
+    so only an underflowing product can zero both.  On what diagonalize3
+    passes (scale >= 1 after its normalization, no eigenvalue gap below
+    ~3e-12 * scale, the cosines and sines of the magnitudes 0 or above
+    ~6e-17) a nonzero g component exceeds ~1e-45, far above the
+    subnormals, so no zero-vector check is made.
+
+    With score, (+,+) and (+,-), the two distinct rotations, are scored:
+    flipping phi3 negates g1x on the f1/g1 route and g2y on the f2/g2 route.
+    With both routes available the smaller wrapped mod-pi difference
+    between the two phi1 estimates wins and a tie within TIE_EPS goes to
+    (+,+); near_tie flags a loser more than TIE_EPS and at most NEAR_TIE_EPS
+    behind.  With a single route (+,+) is used.  Without score only (+,+)
+    is examined (the double-root branch, phi3 = 0).
+
+    phi1 is returned as wrap_half_pi of the routed estimate: p11, unless it
+    is NaN or p12 is available with the longer f-vector (0 when neither
     route is available).  The f1/g1 route carries the full mod-2pi value
     p11 of the rotation found; the f2/g2 route only determines phi1 mod pi.
     So the twin rule compares the returned phi1 with p11, whichever route
     gave it, and flips both selected signs when they are a half turn apart.
     With f1 = 0 (p11 NaN) the sign choice is immaterial and nothing flips.
+    Returns (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
+    near_tie), the SolveReport fields but the residual.
     """
-    phi1 = p12 if math.isnan(p11) or (n2 > n1 and not math.isnan(p12)) else p11
-    phi1 = 0.0 if math.isnan(phi1) else wrap_half_pi(phi1)
-    if _half_turn_apart(p11, phi1):
-        s2, s3 = -s2, -s3
+    _, a22, a33, a12, a13, a23 = a
+    f1x, f1y = a12, -a13
+    f2x, f2y = a22 - a33, -2.0 * a23
+    n1 = math.hypot(f1x, f1y)
+    n2 = math.hypot(f2x, f2y)
+    tol_f = F_ZERO_EPS * scale
+    g1x, g1y, g2x, g2y = g
+    # The route angles of (+,+), p11 and p12, and of (+,-), q11 and q12.
+    # R(-psi) g = (c gx + s gy, c gy - s gx) comes from four products; the
+    # (+,-) route negates g1x or g2y, which negates two of them exactly.
+    p11 = q11 = p12 = q12 = math.nan
+    if n1 > tol_f and (g1x != 0.0 or g1y != 0.0):
+        c, s = f1x / n1, f1y / n1
+        cx, sy, sx, cy = c * g1x, s * g1y, s * g1x, c * g1y
+        p11 = math.atan2(cy - sx, cx + sy)
+        if p11 == -math.pi:
+            p11 = math.pi
+        if score:
+            q11 = math.atan2(sx + cy, sy - cx)
+            if q11 == -math.pi:
+                q11 = math.pi
+    if n2 > tol_f and (g2x != 0.0 or g2y != 0.0):
+        c, s = f2x / n2, f2y / n2
+        cx, sy, sx, cy = c * g2x, s * g2y, s * g2x, c * g2y
+        t = math.atan2(cy - sx, cx + sy)
+        p12 = 0.5 * (math.pi if t == -math.pi else t)
+        if score:
+            t = math.atan2(-sx - cy, cx - sy)
+            q12 = 0.5 * (math.pi if t == -math.pi else t)
+    # wrapped_diff_mod_pi of each pair; NaN with one route only
+    d1 = abs(math.remainder(p11 - p12, math.pi))
+    s3 = 1
+    if score:
+        d2 = abs(math.remainder(q11 - q12, math.pi))
+        candidates = ((1, 1, p11, p12, d1), (1, -1, q11, q12, d2))
+        # a NaN difference compares false: (+,+), no near-tie
+        if d1 > d2 + TIE_EPS:
+            s3, p11, p12, near_tie = -1, q11, q12, d1 - d2 <= NEAR_TIE_EPS
+        else:
+            near_tie = d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
+    else:
+        candidates, near_tie = ((1, 1, p11, p12, d1),), False
+    # x != x: x is NaN.  wrap_half_pi and _half_turn_apart are written out,
+    # as every 3x3 solve runs them here.
+    phi1 = p12 if p11 != p11 or (n2 > n1 and p12 == p12) else p11
+    if phi1 != phi1:
+        phi1 = 0.0
+    else:
+        phi1 = math.remainder(phi1, math.pi)
+        if phi1 <= -_HALF_PI:
+            phi1 = _HALF_PI
+        elif phi1 == 0.0:
+            phi1 = 0.0  # and not -0.0
+    s2 = 1
+    if abs(math.remainder(p11 - phi1, _TWO_PI)) > _HALF_PI:
+        s2, s3 = -1, -s3
     # phi1 is wrapped and the magnitudes lie in [0, pi/2], where wrap_half_pi
     # changes only -0.0 (to +0.0, as "+ 0.0" does) and -pi/2 (to pi/2):
     # Angles3 takes that case, and any angle out of range or NaN.
     phi2 = s2 * phi2_mag + 0.0
     phi3 = s3 * phi3_mag + 0.0
     if -_HALF_PI < phi2 <= _HALF_PI and -_HALF_PI < phi3 <= _HALF_PI:
-        return _tuple_new(Angles3, (phi1, phi2, phi3)), (s2, s3)
-    return Angles3(phi1, phi2, phi3), (s2, s3)
+        angles = _tuple_new(Angles3, (phi1, phi2, phi3))
+    else:
+        angles = Angles3(phi1, phi2, phi3)
+    return angles, (s2, s3), candidates, n1, n2, near_tie
 
 
 def resolve_signs(a: SymMat3, lambdas, v, w, scale):
@@ -368,28 +370,23 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
 
     v and w are as compute_v and compute_w return them, already in [0, 1].
     Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
-    scored, by _select_signs in straight-line code: D is invariant under
-    (phi1 + pi, -phi2, -phi3), and _assemble_angles flips to that twin by
-    _half_turn_apart.  The magnitudes are taken as they come; near 0 or
-    pi/2 the arccos of a square root amplifies rounding in v and w, and
-    diagonalize3's Jacobi correction recovers what that costs the
-    residual.  With both f-vectors at or below tol_f both routes are NaN
-    and phi1 = 0; such a matrix has two eigenvalues within ~3e-14 * scale,
-    so compute_pq classifies it DoubleRoot before it gets here.  scale is
-    ||A||_F.  Returns the angles and the SolveReport fields but the
-    residual: (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
-    near_tie); diagonalize3 builds the one report of the solve.
+    scored, by _route_phi1: D is invariant under (phi1 + pi, -phi2, -phi3),
+    and the twin rule flips to that twin.  The magnitudes are taken as they
+    come; near 0 or pi/2 the arccos of a square root amplifies rounding in
+    v and w, and diagonalize3's Jacobi correction recovers what that costs
+    the residual.  With both f-vectors at or below tol_f both routes are
+    NaN and phi1 = 0; such a matrix has two eigenvalues within ~3e-14 *
+    scale, so compute_pq classifies it DoubleRoot before it gets here.
+    scale is ||A||_F.  Returns the angles and the SolveReport fields but
+    the residual: (angles, selected_signs, phi1_candidates, f1_norm,
+    f2_norm, near_tie); diagonalize3 builds the one report of the solve.
     """
-    _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
     phi2_mag = math.acos(math.sqrt(v))
     phi3_mag = math.acos(math.sqrt(w))
     l1, l2, l3 = lambdas
-    g = _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w)
-    (s2, s3, p11, p12, _), candidates, near_tie = _select_signs(
-        n1, n2, tol_f, cs1, cs2, g)
-    angles, signs = _assemble_angles(n1, n2, p11, p12,
-                                     s2, s3, phi2_mag, phi3_mag)
-    return angles, signs, candidates, n1, n2, near_tie
+    return _route_phi1(
+        a, _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w),
+        phi2_mag, phi3_mag, scale, True)
 
 
 def degenerate_double(a: SymMat3, lam, lam3, scale):
@@ -398,7 +395,7 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
     invariant under (phi1 + pi, -phi2, -phi3), so both signs of phi2 give
     one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
-    rule of _assemble_angles).  phi1 comes from the f/g routes, with the
+    rule of _route_phi1).  phi1 comes from the f/g routes, with the
     generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
     v = cos(phi2)^2 and w = 1.  scale is ||A||_F.  Returns (angles,
     selected_signs, phi1_candidates, f1_norm, f2_norm, near_tie) as
@@ -407,7 +404,6 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     gap = lam - lam3
     s = _clamp_unit((a.a11 - lam3) / gap)
     phi2_mag = math.acos(math.sqrt(s))
-    _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
 
     # |g1| = |f1| gives |sin(2 phi2)| = 2|f1| / |lam - lam3| straight from the
     # entries.  Near phi2 = 0 or pi/2 the arccos(sqrt(s)) route square-root
@@ -415,19 +411,15 @@ def degenerate_double(a: SymMat3, lam, lam3, scale):
     # root), while the arcsin route is linear there; swap it in away from
     # pi/4, keeping the side of pi/4 decided by s.
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        x = abs(2.0 * n1 / gap)
+        x = abs(2.0 * math.hypot(a.a12, -a.a13) / gap)  # |f1| = n1
         half = 0.5 * math.asin(1.0 if 1.0 < x else x)  # min(x, 1.0)
         phi2_mag = half if phi2_mag <= 0.25 * math.pi else _HALF_PI - half
         s = math.cos(phi2_mag) ** 2
 
-    g = _g_components(0.0, gap, phi2_mag, 0.0, s, 1.0)
-    p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, 1)
     # an already diagonal matrix has no usable route and gets phi1 = 0: any
     # phi1 rotates within the repeated eigenspace
-    angles, signs = _assemble_angles(n1, n2, p11, p12, 1, 1, phi2_mag, 0.0)
-    # wrapped_diff_mod_pi(p11, p12); NaN with one route only
-    candidate = (1, 1, p11, p12, abs(math.remainder(p11 - p12, math.pi)))
-    return angles, signs, (candidate,), n1, n2, False
+    return _route_phi1(a, _g_components(0.0, gap, phi2_mag, 0.0, s, 1.0),
+                       phi2_mag, 0.0, scale, False)
 
 
 def _derotated(rows, c1, s1):
@@ -581,7 +573,8 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     if triple:
         lambdas = (lam, lam, lam)
         angles = _ZERO_ANGLES
-        n1, n2 = _f_route(a, scale)[2:4]
+        # the norms of f_vectors(a), as _route_phi1 takes them
+        n1, n2 = math.hypot(a12, -a13), math.hypot(a22 - a33, -2.0 * a23)
         signs, candidates, near_tie = (1, 1), (), False
         branch = _TRIPLE_ROOT
     else:

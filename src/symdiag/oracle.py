@@ -261,12 +261,12 @@ def residuals(a, dec):
     which kernel numpy's BLAS picks for the CPU (its dot products may fuse
     and reorder), and the cost is float arithmetic only.  scale is
     max(1, ||A||_F), with the squares of SymMat3.scale and SymMat2.scale.
-    Where a square overflows, from entries of ~1.3e154 on, A and the
-    eigenvalues are first scaled by 2^-e, exactly, with e from frexp of
-    A's largest |entry| less one: that entry lands in [1, 2), so max(1,
-    ||2^-e A||_F) is ||2^-e A||_F and every residual, being relative, is
-    that of A.  A decomposition with a non-finite eigenvalue re-raises
-    that OverflowError.
+    Where a square or the sum of the squares overflows, from entries of
+    ~4.5e153 on, A and the eigenvalues are first scaled by 2^-e, exactly,
+    with e from frexp of A's largest |entry| less one: that entry lands in
+    [1, 2), so max(1, ||2^-e A||_F) is ||2^-e A||_F and every residual,
+    being relative, is that of A.  A decomposition with a non-finite
+    eigenvalue raises the OverflowError a square raises.
     """
     d = dec.d_entries
     sqrt = math.sqrt
@@ -284,6 +284,8 @@ def residuals(a, dec):
     try:
         scale = sqrt(a11**2 + a22**2 + a33**2
                      + 2.0 * (a12**2 + a13**2 + a23**2))
+        if scale == math.inf:  # the squares are finite, their sum is not
+            raise OverflowError(34, "Numerical result out of range")
     except OverflowError:
         if not (math.isfinite(l1) and math.isfinite(l2)
                 and math.isfinite(l3)):

@@ -29,9 +29,10 @@ from symdiag import (
 )
 from symdiag import SolveReport, eig3
 from symdiag.core import rotation_entries
-from symdiag.eig3 import NEAR_TIE_EPS, TIE_EPS, _select_signs
+from symdiag.eig3 import NEAR_TIE_EPS, TIE_EPS
 from conftest import (clustered_sym3, conjugated, random_sym3, structured_sym3,
                       sym3)
+import phi1_reference
 
 DIAG321 = SymMat3(3.0, 2.0, 1.0, 0.0, 0.0, 0.0)
 
@@ -130,16 +131,19 @@ class TestGVectorSigns:
 
 
 class TestSelectSigns:
-    # psi1 = 0.3, psi2 = 0.  g1 = (x, t) with x = +-1 puts phi1 at
-    # atan(t) - 0.3 for (+, x) and at pi - atan(t) - 0.3 for (+, -x); g2 =
-    # (1, 0) puts it at 0 for both.  (+, x) therefore beats (+, -x) by
-    # 2 atan(t).
-    CS1 = (math.cos(0.3), math.sin(0.3))
-    CS2 = (1.0, 0.0)
+    # f1 = (cos 0.3, sin 0.3) and f2 = (n2, 0) put psi1 at 0.3 and psi2 at
+    # 0.  g1 = (x, t) with x = +-1 puts phi1 at atan(t) - 0.3 for (+, x)
+    # and at pi - atan(t) - 0.3 for (+, -x); g2 = (1, 0) puts it at 0 for
+    # both.  (+, x) therefore beats (+, -x) by 2 atan(t).
 
     def select(self, margin, winner_s3=1, n2=1.0):
+        """_route_phi1's selected candidate, candidates and near_tie."""
+        a = SymMat3(0.0, n2, 0.0, math.cos(0.3), -math.sin(0.3), 0.0)
         g = (float(winner_s3), math.tan(0.5 * margin), 1.0, 0.0)
-        return _select_signs(1.0, n2, 1e-14, self.CS1, self.CS2, g)
+        _, (s2, s3), candidates, _, _, near_tie = eig3._route_phi1(
+            a, g, 0.4, 0.7, 1.0, True)
+        # the twin rule negates both selected signs or neither
+        return candidates[0 if s2 * s3 == 1 else 1], candidates, near_tie
 
     def test_better_combo_wins_either_way(self):
         for winner_s3 in (1, -1):
@@ -193,7 +197,8 @@ def _four_combo_select(combos, n1, n2, tol_f, cs1, cs2, g):
     both = n1 > tol_f and n2 > tol_f
     candidates = []
     for s2, s3 in combos:
-        p11, p12 = eig3._phi1_candidates(n1, n2, tol_f, cs1, cs2, g, s2, s3)
+        p11, p12 = phi1_reference._phi1_candidates(n1, n2, tol_f, cs1, cs2,
+                                                   g, s2, s3)
         diff = wrapped_diff_mod_pi(p11, p12) if both else math.nan
         candidates.append((s2, s3, p11, p12, diff))
     candidates = tuple(candidates)
@@ -207,11 +212,26 @@ def _four_combo_select(combos, n1, n2, tol_f, cs1, cs2, g):
     return sel, candidates, near_tie
 
 
+def _scored_signs(a, lambdas, v, w, scale):
+    """resolve_signs scoring all four sign combinations with the selection
+    above, on the routing chain of phi1_reference."""
+    _, _, n1, n2, tol_f, cs1, cs2 = phi1_reference._f_route(a, scale)
+    phi2_mag = math.acos(math.sqrt(v))
+    phi3_mag = math.acos(math.sqrt(w))
+    l1, l2, l3 = lambdas
+    g = eig3._g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w)
+    (s2, s3, p11, p12, _), candidates, near_tie = _four_combo_select(
+        ((1, 1), (1, -1), (-1, 1), (-1, -1)), n1, n2, tol_f, cs1, cs2, g)
+    angles, signs = phi1_reference._assemble_angles(
+        n1, n2, p11, p12, s2, s3, phi2_mag, phi3_mag)
+    return angles, signs, candidates, n1, n2, near_tie
+
+
 def _scored_double(a, lam, lam3, scale):
     """degenerate_double scoring both signs of phi2 with the selection above."""
     s = eig3._clamp_unit((a.a11 - lam3) / (lam - lam3))
     phi2_mag = math.acos(math.sqrt(s))
-    _, _, n1, n2, tol_f, cs1, cs2 = eig3._f_route(a, scale)
+    _, _, n1, n2, tol_f, cs1, cs2 = phi1_reference._f_route(a, scale)
     if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
         sin2 = min(2.0 * n1 / abs(lam - lam3), 1.0)
         half = 0.5 * math.asin(sin2)
@@ -220,8 +240,8 @@ def _scored_double(a, lam, lam3, scale):
     g = eig3._g_components(0.0, lam - lam3, phi2_mag, 0.0, s, 1.0)
     (s2, s3, p11, p12, _), candidates, near_tie = _four_combo_select(
         ((1, 1), (-1, 1)), n1, n2, tol_f, cs1, cs2, g)
-    angles, signs = eig3._assemble_angles(n1, n2, p11, p12,
-                                          s2, s3, phi2_mag, 0.0)
+    angles, signs = phi1_reference._assemble_angles(n1, n2, p11, p12,
+                                                    s2, s3, phi2_mag, 0.0)
     return angles, signs, candidates, n1, n2, near_tie
 
 
@@ -246,14 +266,13 @@ class TestTwinScoringPin:
 
         def select(*args):
             calls["select"] += 1
-            return _four_combo_select(
-                ((1, 1), (1, -1), (-1, 1), (-1, -1)), *args)
+            return _scored_signs(*args)
 
         def double(*args):
             calls["double"] += 1
             return _scored_double(*args)
 
-        monkeypatch.setattr(eig3, "_select_signs", select)
+        monkeypatch.setattr(eig3, "resolve_signs", select)
         monkeypatch.setattr(eig3, "degenerate_double", double)
         seen = {"near_tie": 0, "second": 0, "double": 0}
         for a, dec in zip(mats, got):
@@ -488,21 +507,32 @@ class TestComparisonsKeepBuiltinResults:
             assert len(seen) == 1 and same_value(seen[0], want), (x, seen)
 
 
+def routed(p11, p12, phi2_mag, phi3_mag):
+    """_route_phi1 scoring (+,+) only, on f1 = (1, 0) and f2 = (2, 0) and a
+    g that puts the f1/g1 route at p11 and the f2/g2 route at 2 p12, to
+    rounding: the f2/g2 route has the longer f-vector and gives phi1."""
+    a = SymMat3(0.0, 2.0, 0.0, 1.0, 0.0, 0.0)
+    g = (math.cos(p11), math.sin(p11),
+         math.cos(2.0 * p12), math.sin(2.0 * p12))
+    return eig3._route_phi1(a, g, phi2_mag, phi3_mag, 1.0, False)[:2]
+
+
 class TestAssembledAnglesInRange:
-    """_assemble_angles builds Angles3 without its wrap: the magnitudes lie
-    in [0, pi/2], where the wrap only maps -pi/2 to pi/2 and -0.0 to 0.0."""
+    """_route_phi1 builds Angles3 without its wrap: the magnitudes lie in
+    [0, pi/2], where the wrap only maps -pi/2 to pi/2 and -0.0 to 0.0.
+    p11 = 0.3 - pi is a half turn from phi1 = 0.3, so both signs flip."""
 
     def test_minus_half_pi_becomes_half_pi(self):
-        angles, signs = eig3._assemble_angles(1.0, 2.0, 0.3, 0.3,
-                                              -1, 1, 0.5 * math.pi, 0.2)
-        assert signs == (-1, 1)
+        angles, signs = routed(0.3 - math.pi, 0.3, 0.5 * math.pi, 0.2)
+        assert signs == (-1, -1)
         assert type(angles) is Angles3
-        assert same_bits(angles.as_tuple(), (0.3, 0.5 * math.pi, 0.2))
+        assert angles.phi1 == pytest.approx(0.3, abs=1e-15)
+        assert same_bits(angles.as_tuple()[1:], (0.5 * math.pi, -0.2))
 
     def test_negative_zero_becomes_positive_zero(self):
-        angles, signs = eig3._assemble_angles(1.0, 2.0, 0.3, 0.3,
-                                              1, -1, 0.2, 0.0)
-        assert signs == (1, -1)
+        angles, signs = routed(0.3 - math.pi, 0.3, 0.2, 0.0)
+        assert signs == (-1, -1)
+        assert angles.phi2 == -0.2
         assert angles.phi3 == 0.0
         assert math.copysign(1.0, angles.phi3) == 1.0
 
@@ -576,13 +606,13 @@ class TestTwinRule:
     def test_assemble_flips_by_the_routed_phi1(self, p11, p12):
         # n2 > n1 routes phi1 through p12; the angles must span the
         # eigenvectors of the full angle p11 with the unflipped signs
-        angles, signs = eig3._assemble_angles(1.0, 2.0, p11, p12,
-                                              1, -1, 0.4, 0.7)
-        assert signs == (-1, 1)
-        assert angles.as_tuple() == (p12, -0.4, 0.7)
+        angles, signs = routed(p11, p12, 0.4, 0.7)
+        assert signs == (-1, -1)
+        assert angles.phi1 == pytest.approx(p12, abs=1e-15)
+        assert angles.as_tuple()[1:] == (-0.4, -0.7)
         lams = np.array([3.0, 1.0, 2.0])
         got, want = (compose_rotation(angles),
-                     compose_rotation((p11, 0.4, -0.7)))
+                     compose_rotation((p11, 0.4, 0.7)))
         np.testing.assert_allclose((got * lams) @ got.T,
                                    (want * lams) @ want.T, atol=1e-8)
 

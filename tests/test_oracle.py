@@ -397,7 +397,9 @@ class TestResiduals:
 
 def residuals_reference(a, dec):
     """residuals as written with a loop around its prescale and a helper
-    for the two norms, kept as the bit-for-bit reference."""
+    for the two norms, kept as the bit-for-bit reference.  Where the
+    squares are finite but their sum overflows, it prescales as where a
+    square overflows."""
     def sym_norm3(e11, e22, e33, e12, e13, e23):
         return math.sqrt(e11 * e11 + e22 * e22 + e33 * e33
                          + 2.0 * (e12 * e12 + e13 * e13 + e23 * e23))
@@ -418,6 +420,8 @@ def residuals_reference(a, dec):
         try:
             scale = math.sqrt(a11**2 + a22**2 + a33**2
                               + 2.0 * (a12**2 + a13**2 + a23**2))
+            if math.isinf(scale):
+                raise OverflowError("the sum of the squares overflows")
             break
         except OverflowError:
             if not (math.isfinite(l1) and math.isfinite(l2)
@@ -518,6 +522,35 @@ class TestResidualsPin:
             residuals_reference(m, dec)
         with pytest.raises(OverflowError):
             residuals(m, dec)
+
+    @pytest.mark.parametrize("m", [
+        SymMat3(1.2e154, 1.2e154, 1.2e154, 1.2e154, 1.1e154, 1.2e154),
+        SymMat2(1.3e154, -1.2e154, 1.25e154),
+    ])
+    def test_prescaled_where_the_sum_of_squares_overflows(self, m):
+        """Every square is finite but their sum is not.  The residuals are
+        those of the matrix and eigenvalues scaled by the power of two that
+        puts the largest |entry| in [1, 2), bit for bit, and not 0."""
+        assert all(math.isfinite(x**2) for x in m)
+        k = 3 if isinstance(m, SymMat3) else 2  # the diagonal entries
+        assert math.isinf(sum(x**2 for x in m[:k])
+                          + 2.0 * sum(x**2 for x in m[k:]))
+        e = 1 - math.frexp(max(map(abs, m)))[1]
+        small = type(m)(*(math.ldexp(x, e) for x in m))
+        if isinstance(m, SymMat3):
+            dec = diagonalize3(m)
+            dec_small = EigenDecomp3(
+                *(math.ldexp(x, e) for x in dec.lambdas), dec.angles,
+                dec.d_entries)
+        else:
+            dec = diagonalize2(m)
+            dec_small = EigenDecomp2(
+                math.ldexp(dec.lambda1, e), math.ldexp(dec.lambda2, e),
+                dec.phi, dec.d_entries)
+        got = residuals(m, dec)
+        assert repr(got) == repr(residuals(small, dec_small)), m
+        assert got[0] > 0.0 and max(got[2]) > 0.0, got
+        assert repr(got) == repr(residuals_reference(m, dec)), m
 
     def test_same_values_on_a_non_finite_eigenvalue_at_unit_scale(self):
         """Where no square overflows, neither raises, and both give the

@@ -231,10 +231,10 @@ class SolveReport(NamedTuple):
     phi1_candidates holds one entry per examined sign combination:
     (sign2, sign3, phi1 from the f1/g1 route, phi1 from the f2/g2 route,
     wrapped difference mod pi).  The Generic and AlreadyDiagonal2D branches
-    examine (1, 1) and (1, -1), the two distinct rotations; DoubleRoot has
-    one entry, (1, 1); TripleRoot none.  Entries are NaN where the
-    corresponding route was unavailable.  near_tie flags a selection where
-    the other, non-tied combination came within 1e-6 of the winner.
+    examine (1, 1) and (1, -1), the two distinct rotations; DoubleRoot and
+    TripleRoot score nothing: no entry, signs (1, 1).  Entries are NaN where
+    the corresponding route was unavailable.  near_tie flags a selection
+    where the other, non-tied combination came within 1e-6 of the winner.
     """
 
     selected_signs: tuple = (1, 1)
@@ -334,8 +334,8 @@ class EigenDecomp3(_Decomp):
     """Result of diagonalizing a SymMat3: A = D . diag(l1, l2, l3) . D^T.
 
     Eigenvalues are reported in the order the angle equations assume (the
-    cubic-solution order, possibly permuted so a repeated pair comes first);
-    they are deliberately not sorted.  d may be given as a 3x3 array or as
+    cubic-solution order, or the pair first and the distinct one third on
+    the double-root branch); they are deliberately not sorted.  d may be given as a 3x3 array or as
     its entries row by row, a tuple of nine floats; diagonalize3 gives
     rotation_entries(*angles), so d equals compose_rotation(angles): a
     fixed-order float product, at most 1.1e-16 per entry from numpy's

@@ -2,30 +2,25 @@
 
 Eigenvalues come from the trigonometric solution of the characteristic
 cubic; the orthogonal factor D is recovered as three rotation angles
-(phi1, phi2, phi3) about the fixed basis axes.  The squared cosines of
-phi2 and phi3 are rational in the matrix entries and eigenvalues, which
-leaves their signs.  D is invariant under (phi1 + pi, -phi2, -phi3), so
-only (+,+) and (+,-) are distinct rotations; the generic branch picks the
-one whose two independent estimates of phi1 (one from each of two 2-vector
-identities) agree.  The double-root branch (phi3 = 0) has one rotation
-left and scores nothing.  Both branches run one straight-line routing
-body (_route_phi1): the f-vectors, the phi1 estimate of each route, the
-scores, the choice of the returned phi1 and the twin rule that keeps the
-signs right when an angle is wrapped by pi (as _half_turn_apart, which the
-Jacobi correction calls), on the g-vector formula (_g_components).  The
-generic branch recovers the digits arccos(sqrt(.)) loses near 0 and pi/2
-by one Jacobi correction (_polish_angles); the double-root branch, which
-is not corrected, by its own arcsine swap.  Every squared cosine is
-clamped to [0, 1] (_clamp_unit) rather than rejected, so compute_pq's
-classification alone picks the branch: a quotient made noisy by rounding
-gives a roughly right D, which the correction repairs on the generic
-branch.  resolve_signs and degenerate_double return the SolveReport
-fields as a tuple; diagonalize3 builds each solve's one report, on A
-normalized as diagonalize3 says.
+(phi1, phi2, phi3) about the fixed basis axes.  On the generic branch the
+squared cosines of phi2 and phi3 are rational in the matrix entries and
+eigenvalues, clamped to [0, 1] (_clamp_unit), which leaves their signs.
+D is invariant under (phi1 + pi, -phi2, -phi3), so resolve_signs scores
+(+,+) and (+,-) by how well two estimates of phi1 agree, in one
+straight-line routing body (_route_phi1) on the g-vector formula
+(_g_components), with the twin rule that keeps the signs right when an
+angle is wrapped by pi (as _half_turn_apart, which the Jacobi correction
+calls).  One Jacobi correction (_polish_angles) recovers the digits
+arccos(sqrt(.)) loses near 0 and pi/2.  The double-root branch
+(degenerate_double) scores nothing: the distinct root's eigenvector gives
+phi1 and phi2, and eig2's kernel on the pair's 2x2 block gives phi3 and
+the pair.  compute_pq's classification alone picks the branch, and
+diagonalize3 builds each solve's one SolveReport, on A normalized as it
+says.
 
 Eigenvalues are kept in the order the angle equations assume:
 lambda1 >= lambda3 >= lambda2 from the cosine placement in the cubic
-solution, or (repeated, repeated, distinct) on the double-root branch.
+solution, or (pair, pair, distinct) on the double-root branch.
 """
 
 import math
@@ -44,6 +39,7 @@ from .core import (
     rotation_entries,
     wrap_half_pi,
 )
+from .eig2 import _solve2
 
 # CubicCoeffs, PQ, SolveReport and Angles3 are built once per solve;
 # tuple.__new__ fills them without running a Python-level __new__.
@@ -262,7 +258,7 @@ def _half_turn_apart(full, rep):
     return abs(math.remainder(full - rep, 2.0 * math.pi)) > 0.5 * math.pi
 
 
-def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
+def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale):
     """phi1 from the f/g routes, the signs of phi2 and phi3, and the angles.
 
     g is _g_components at the magnitudes phi2_mag, phi3_mag in [0, pi/2].
@@ -279,13 +275,12 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
     ~6e-17) a nonzero g component exceeds ~1e-45, far above the
     subnormals, so no zero-vector check is made.
 
-    With score, (+,+) and (+,-), the two distinct rotations, are scored:
-    flipping phi3 negates g1x on the f1/g1 route and g2y on the f2/g2 route.
-    With both routes available the smaller wrapped mod-pi difference
-    between the two phi1 estimates wins and a tie within TIE_EPS goes to
-    (+,+); near_tie flags a loser more than TIE_EPS and at most NEAR_TIE_EPS
-    behind.  With a single route (+,+) is used.  Without score only (+,+)
-    is examined (the double-root branch, phi3 = 0).
+    (+,+) and (+,-), the two distinct rotations, are scored: flipping phi3
+    negates g1x on the f1/g1 route and g2y on the f2/g2 route.  With both
+    routes available the smaller wrapped mod-pi difference between the two
+    phi1 estimates wins and a tie within TIE_EPS goes to (+,+); near_tie
+    flags a loser more than TIE_EPS and at most NEAR_TIE_EPS behind.  With
+    a single route (+,+) is used.
 
     phi1 is returned as wrap_half_pi of the routed estimate: p11, unless it
     is NaN or p12 is available with the longer f-vector (0 when neither
@@ -294,8 +289,7 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
     So the twin rule compares the returned phi1 with p11, whichever route
     gave it, and flips both selected signs when they are a half turn apart.
     With f1 = 0 (p11 NaN) the sign choice is immaterial and nothing flips.
-    Returns (angles, selected_signs, phi1_candidates, f1_norm, f2_norm,
-    near_tie), the SolveReport fields but the residual.
+    Returns what resolve_signs returns.
     """
     _, a22, a33, a12, a13, a23 = a
     f1x, f1y = a12, -a13
@@ -314,33 +308,28 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
         p11 = math.atan2(cy - sx, cx + sy)
         if p11 == -math.pi:
             p11 = math.pi
-        if score:
-            q11 = math.atan2(sx + cy, sy - cx)
-            if q11 == -math.pi:
-                q11 = math.pi
+        q11 = math.atan2(sx + cy, sy - cx)
+        if q11 == -math.pi:
+            q11 = math.pi
     if n2 > tol_f and (g2x != 0.0 or g2y != 0.0):
         c, s = f2x / n2, f2y / n2
         cx, sy, sx, cy = c * g2x, s * g2y, s * g2x, c * g2y
         t = math.atan2(cy - sx, cx + sy)
         p12 = 0.5 * (math.pi if t == -math.pi else t)
-        if score:
-            t = math.atan2(-sx - cy, cx - sy)
-            q12 = 0.5 * (math.pi if t == -math.pi else t)
+        t = math.atan2(-sx - cy, cx - sy)
+        q12 = 0.5 * (math.pi if t == -math.pi else t)
     # wrapped_diff_mod_pi of each pair; NaN with one route only
     d1 = abs(math.remainder(p11 - p12, math.pi))
+    d2 = abs(math.remainder(q11 - q12, math.pi))
+    candidates = ((1, 1, p11, p12, d1), (1, -1, q11, q12, d2))
+    # a NaN difference compares false: (+,+), no near-tie
     s3 = 1
-    if score:
-        d2 = abs(math.remainder(q11 - q12, math.pi))
-        candidates = ((1, 1, p11, p12, d1), (1, -1, q11, q12, d2))
-        # a NaN difference compares false: (+,+), no near-tie
-        if d1 > d2 + TIE_EPS:
-            s3, p11, p12, near_tie = -1, q11, q12, d1 - d2 <= NEAR_TIE_EPS
-        else:
-            near_tie = d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
+    if d1 > d2 + TIE_EPS:
+        s3, p11, p12, near_tie = -1, q11, q12, d1 - d2 <= NEAR_TIE_EPS
     else:
-        candidates, near_tie = ((1, 1, p11, p12, d1),), False
+        near_tie = d2 > d1 + TIE_EPS and d2 - d1 <= NEAR_TIE_EPS
     # x != x: x is NaN.  wrap_half_pi and _half_turn_apart are written out,
-    # as every 3x3 solve runs them here.
+    # as every generic solve runs them here.
     phi1 = p12 if p11 != p11 or (n2 > n1 and p12 == p12) else p11
     if phi1 != phi1:
         phi1 = 0.0
@@ -368,58 +357,75 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale, score):
 def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     """Select the signs of phi2 and phi3 and recover phi1.
 
-    v and w are as compute_v and compute_w return them, already in [0, 1].
-    Only (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are
-    scored, by _route_phi1: D is invariant under (phi1 + pi, -phi2, -phi3),
-    and the twin rule flips to that twin.  The magnitudes are taken as they
-    come; near 0 or pi/2 the arccos of a square root amplifies rounding in
-    v and w, and diagonalize3's Jacobi correction recovers what that costs
-    the residual.  With both f-vectors at or below tol_f both routes are
-    NaN and phi1 = 0; such a matrix has two eigenvalues within ~3e-14 *
-    scale, so compute_pq classifies it DoubleRoot before it gets here.
-    scale is ||A||_F.  Returns the angles and the SolveReport fields but
-    the residual: (angles, selected_signs, phi1_candidates, f1_norm,
-    f2_norm, near_tie); diagonalize3 builds the one report of the solve.
+    v and w are as compute_v and compute_w return them, in [0, 1].  Only
+    (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are scored, by
+    _route_phi1.  Near 0 or pi/2 the arccos of a square root amplifies
+    rounding in v and w, which diagonalize3's Jacobi correction recovers.
+    With both f-vectors at or below tol_f, phi1 = 0; such a matrix has two
+    eigenvalues within ~3e-14 * scale, so compute_pq classifies it
+    DoubleRoot first.  scale is ||A||_F.  Returns (angles, selected_signs,
+    phi1_candidates, f1_norm, f2_norm, near_tie), the SolveReport fields
+    but the residual.
     """
     phi2_mag = math.acos(math.sqrt(v))
     phi3_mag = math.acos(math.sqrt(w))
     l1, l2, l3 = lambdas
     return _route_phi1(
         a, _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w),
-        phi2_mag, phi3_mag, scale, True)
+        phi2_mag, phi3_mag, scale)
 
 
-def degenerate_double(a: SymMat3, lam, lam3, scale):
-    """Angles for the double-root case lambda1 = lambda2 = lam.
+def degenerate_double(a: SymMat3, lam3):
+    """Angles and eigenvalues of A whose spectrum is a pair and lam3.
 
-    Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
-    invariant under (phi1 + pi, -phi2, -phi3), so both signs of phi2 give
-    one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
-    rule of _route_phi1).  phi1 comes from the f/g routes, with the
-    generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
-    v = cos(phi2)^2 and w = 1.  scale is ||A||_F.  Returns (angles,
-    selected_signs, phi1_candidates, f1_norm, f2_norm, near_tie) as
-    resolve_signs does, with the one candidate (1, 1) and near_tie False.
+    "Most distinct eigenvalue first, then a 2x2" (Scherzinger & Dohrmann
+    2008): D's third column, (sin phi2, -sin phi1 cos phi2, cos phi1 cos
+    phi2), is lam3's eigenvector, the longest cross product (x, y, z) of two
+    rows of A - lam3 I with z >= 0; lam3 lies a gap of order ||A|| from the
+    pair on what diagonalize3 passes, so it is accurate to ~u ||A|| / gap.
+    So phi1 = atan2(-y, z) and phi2 = atan2(x, hypot(y, z)) in [-pi/2,
+    pi/2], where -pi/2 is mapped to pi/2 (phi1 with its twin, -phi2) and
+    -0.0 to 0.0, as Angles3 stores them.  A rotation inside the pair is
+    phi3, as Rx(phi1) Ry(phi2) Rz(0) Rz(theta) = Rx(phi1) Ry(phi2) Rz(theta):
+    eig2's kernel on the block of A over the first two columns of
+    Rx(phi1) Ry(phi2) gives phi3 and the pair.  Returns (angles, (lambda1,
+    lambda2, lam3)).
     """
-    gap = lam - lam3
-    s = _clamp_unit((a.a11 - lam3) / gap)
-    phi2_mag = math.acos(math.sqrt(s))
-
-    # |g1| = |f1| gives |sin(2 phi2)| = 2|f1| / |lam - lam3| straight from the
-    # entries.  Near phi2 = 0 or pi/2 the arccos(sqrt(s)) route square-root
-    # amplifies rounding (and any slight deviation from an exact double
-    # root), while the arcsin route is linear there; swap it in away from
-    # pi/4, keeping the side of pi/4 decided by s.
-    if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        x = abs(2.0 * math.hypot(a.a12, -a.a13) / gap)  # |f1| = n1
-        half = 0.5 * math.asin(1.0 if 1.0 < x else x)  # min(x, 1.0)
-        phi2_mag = half if phi2_mag <= 0.25 * math.pi else _HALF_PI - half
-        s = math.cos(phi2_mag) ** 2
-
-    # an already diagonal matrix has no usable route and gets phi1 = 0: any
-    # phi1 rotates within the repeated eigenspace
-    return _route_phi1(a, _g_components(0.0, gap, phi2_mag, 0.0, s, 1.0),
-                       phi2_mag, 0.0, scale, False)
+    a11, a22, a33, a12, a13, a23 = a
+    b11, b22, b33 = a11 - lam3, a22 - lam3, a33 - lam3
+    # the rows r1, r2, r3 of A - lam3 I: r1 x r2, r1 x r3 or r2 x r3
+    x, y, z = (a12 * a23 - a13 * b22, a13 * a12 - b11 * a23,
+               b11 * b22 - a12 * a12)
+    n = x * x + y * y + z * z
+    u, v, w = (a12 * b33 - a13 * a23, a13 * a13 - b11 * b33,
+               b11 * a23 - a12 * a13)
+    m = u * u + v * v + w * w
+    if m > n:
+        x, y, z, n = u, v, w, m
+    u, v, w = (b22 * b33 - a23 * a23, a23 * a13 - a12 * b33,
+               a12 * a23 - b22 * a13)
+    if u * u + v * v + w * w > n:
+        x, y, z = u, v, w
+    if z < 0.0:
+        x, y, z = -x, -y, -z
+    phi1 = math.atan2(-y, z + 0.0) + 0.0  # atan2(0.0, -0.0) is pi
+    phi2 = math.atan2(x, math.hypot(y, z))
+    if phi1 <= -_HALF_PI:
+        phi1, phi2 = _HALF_PI, -phi2
+    phi2 = _HALF_PI if phi2 <= -_HALF_PI else phi2 + 0.0
+    c1, s1 = math.cos(phi1), math.sin(phi1)
+    c2, s2 = math.cos(phi2), math.sin(phi2)
+    # A times the columns (c2, p2, p3) and (0, c1, s1) of Rx(phi1) Ry(phi2)
+    p2, p3 = s1 * s2, -c1 * s2
+    ap1 = a11 * c2 + a12 * p2 + a13 * p3
+    ap2 = a12 * c2 + a22 * p2 + a23 * p3
+    ap3 = a13 * c2 + a23 * p2 + a33 * p3
+    aq1, aq2, aq3 = (a12 * c1 + a13 * s1, a22 * c1 + a23 * s1,
+                     a23 * c1 + a33 * s1)
+    l1, l2, phi3 = _solve2(c2 * ap1 + p2 * ap2 + p3 * ap3,
+                           c1 * aq2 + s1 * aq3,
+                           c2 * aq1 + p2 * aq2 + p3 * aq3)
+    return _tuple_new(Angles3, (phi1, phi2, phi3)), (l1, l2, lam3)
 
 
 def _derotated(rows, c1, s1):
@@ -541,16 +547,13 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
     cubic invariants, and nothing is rerouted or caught: compute_v and
     compute_w clamp their quotients, and outside DoubleRoot the
     discriminant threshold keeps every eigenvalue gap above ~1e-8 * scale,
-    so neither divides by 0.  A Generic or
-    AlreadyDiagonal2D result whose relative residual exceeds 1e-12 goes
-    through the Jacobi correction (_polish_angles), whose angles
-    and eigenvalues are kept when they lower it.  DoubleRoot and TripleRoot
-    results are returned uncorrected: a correction would fire on every
-    DoubleRoot result of a gap near 1e-9, whose residual comes from
-    taking the pair as the root eigenvalues3 gives twice at compute_pq's
-    endpoint (README, Accuracy).  resolve_signs or degenerate_double
-    returns the report fields, and the solve's one SolveReport is built
-    here with the residual relative to the matrix solved.
+    so neither divides by 0.  A Generic or AlreadyDiagonal2D result whose
+    relative residual exceeds 1e-12 goes through the Jacobi correction
+    (_polish_angles), whose angles and eigenvalues are kept when they
+    lower it.  DoubleRoot and TripleRoot results are neither corrected nor
+    scored: their reports carry the signs (1, 1), no candidates and no
+    near-tie.  The solve's one SolveReport is built here, with the residual
+    relative to the matrix solved.
     """
     a11, a22, a33, a12, a13, a23 = a
     fro2 = (a11 * a11 + a22 * a22 + a33 * a33
@@ -570,33 +573,31 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             m, e2, a, fro2 = lam, e, b, fro2_b
     scale = math.sqrt(fro2) or 1.0  # 0 only for the zero matrix
 
-    if triple:
-        lambdas = (lam, lam, lam)
-        angles = _ZERO_ANGLES
-        # the norms of f_vectors(a), as _route_phi1 takes them
-        n1, n2 = math.hypot(a12, -a13), math.hypot(a22 - a33, -2.0 * a23)
-        signs, candidates, near_tie = (1, 1), (), False
-        branch = _TRIPLE_ROOT
-    else:
+    if not triple:
         coeffs = char_coeffs(a)
         pq = compute_pq(coeffs)
         lambdas = eigenvalues3(coeffs, pq)
-        if pq.double_root:
-            # the bit-equal pair of eigenvalues3 at delta = 0 or pi
-            l1, l2, l3 = lambdas
-            lam, lam3 = (l2, l1) if pq.delta == 0.0 else (l1, l2)
-            lambdas = (lam, lam, lam3)
-            angles, signs, candidates, n1, n2, near_tie = degenerate_double(
-                a, lam, lam3, scale)
-            branch = _DOUBLE_ROOT
+    if triple or pq.double_root:
+        if triple:
+            lambdas, angles = (lam, lam, lam), _ZERO_ANGLES
+            branch = _TRIPLE_ROOT
         else:
-            v = compute_v(a, lambdas)
-            w = compute_w(a, lambdas, v)
-            angles, signs, candidates, n1, n2, near_tie = resolve_signs(
-                a, lambdas, v, w, scale)
-            tol_f = F_ZERO_EPS * scale
-            branch = (_ALREADY_DIAGONAL_2D
-                      if n1 <= tol_f or n2 <= tol_f else _GENERIC)
+            # the distinct root: l2 == l3 at delta = 0, l1 == l3 at delta = pi
+            angles, lambdas = degenerate_double(
+                a, lambdas[0] if pq.delta == 0.0 else lambdas[1])
+            branch = _DOUBLE_ROOT
+        # nothing is scored: f_vectors(a)'s norms, as _route_phi1 takes them
+        _, a22, a33, a12, a13, a23 = a
+        n1, n2 = math.hypot(a12, -a13), math.hypot(a22 - a33, -2.0 * a23)
+        signs, candidates, near_tie = (1, 1), (), False
+    else:
+        v = compute_v(a, lambdas)
+        w = compute_w(a, lambdas, v)
+        angles, signs, candidates, n1, n2, near_tie = resolve_signs(
+            a, lambdas, v, w, scale)
+        tol_f = F_ZERO_EPS * scale
+        branch = (_ALREADY_DIAGONAL_2D
+                  if n1 <= tol_f or n2 <= tol_f else _GENERIC)
 
     d = rotation_entries(*angles)
     recon_res = _reconstruction_residual(a, d, lambdas, scale)

@@ -28,6 +28,16 @@ def clustered_sym3(rng, gap):
     return sym3((q * np.array([lam, lam + gap, lam + 2.0])) @ q.T)
 
 
+def graded_rows(rng, k):
+    """(k, 6) unique entries of G U G, U with entries in [-1, 1] and
+    G = diag(1, 10^-j, 10^-2j), j in 2..8."""
+    g = 10.0 ** -rng.integers(2, 9, k)
+    gd = np.stack([np.ones(k), g, g * g], axis=1)
+    return rng.uniform(-1.0, 1.0, (k, 6)) * np.concatenate(
+        [gd * gd, gd[:, [0]] * gd[:, [1]], gd[:, [0]] * gd[:, [2]],
+         gd[:, [1]] * gd[:, [2]]], axis=1)
+
+
 # Components of structured rows: exact and signed zeros, repeated entries.
 STRUCTURED_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0)
 

@@ -1,19 +1,18 @@
 """The parent chain of the phi1 routing, kept verbatim as a bit-for-bit
 reference for eig3._route_phi1, which folds it into one body.
 
-resolve_signs and degenerate_double here are the two eig3 entry points as
-they were written over _f_route, _select_signs or _phi1_candidates, four
-_route_angle calls and _assemble_angles.  tests/test_phi1_routing.py swaps
-them in for eig3's to compare whole solves; tests/test_eig3_angles.py
-builds its four-combination scoring on the same helpers.
+resolve_signs here is eig3's entry point as it was written over _f_route,
+_select_signs, four _route_angle calls and _assemble_angles.
+tests/test_phi1_routing.py swaps it in for eig3's to compare whole solves;
+tests/test_eig3_angles.py builds its four-combination scoring on the same
+helpers and _phi1_candidates.
 """
 
 import math
 
 from symdiag.core import AngleOfZeroVector, Angles3, SymMat3, wrap_half_pi
 from symdiag.eig3 import (F_ZERO_EPS, NEAR_TIE_EPS, TIE_EPS, _HALF_PI,
-                          _clamp_unit, _g_components, _half_turn_apart,
-                          _tuple_new)
+                          _g_components, _half_turn_apart, _tuple_new)
 
 
 def _f_route(a: SymMat3, scale):
@@ -144,41 +143,3 @@ def resolve_signs(a: SymMat3, lambdas, v, w, scale):
     angles, signs = _assemble_angles(n1, n2, p11, p12,
                                      s2, s3, phi2_mag, phi3_mag)
     return angles, signs, candidates, n1, n2, near_tie
-
-
-def degenerate_double(a: SymMat3, lam, lam3, scale):
-    """Angles for the double-root case lambda1 = lambda2 = lam.
-
-    Here cos(phi2)^2 = (a11 - lam3)/(lam - lam3) and phi3 = 0.  D is
-    invariant under (phi1 + pi, -phi2, -phi3), so both signs of phi2 give
-    one rotation: nothing is scored and phi2 is taken >= 0 (before the twin
-    rule of _assemble_angles).  phi1 comes from the f/g routes, with the
-    generic branch's _g_components at lambda1 = lambda2 = lam, phi3 = 0,
-    v = cos(phi2)^2 and w = 1.  scale is ||A||_F.  Returns (angles,
-    selected_signs, phi1_candidates, f1_norm, f2_norm, near_tie) as
-    resolve_signs does, with the one candidate (1, 1) and near_tie False.
-    """
-    gap = lam - lam3
-    s = _clamp_unit((a.a11 - lam3) / gap)
-    phi2_mag = math.acos(math.sqrt(s))
-    _, _, n1, n2, tol_f, cs1, cs2 = _f_route(a, scale)
-
-    # |g1| = |f1| gives |sin(2 phi2)| = 2|f1| / |lam - lam3| straight from the
-    # entries.  Near phi2 = 0 or pi/2 the arccos(sqrt(s)) route square-root
-    # amplifies rounding (and any slight deviation from an exact double
-    # root), while the arcsin route is linear there; swap it in away from
-    # pi/4, keeping the side of pi/4 decided by s.
-    if phi2_mag < 0.125 * math.pi or phi2_mag > 0.375 * math.pi:
-        x = abs(2.0 * n1 / gap)
-        half = 0.5 * math.asin(1.0 if 1.0 < x else x)  # min(x, 1.0)
-        phi2_mag = half if phi2_mag <= 0.25 * math.pi else _HALF_PI - half
-        s = math.cos(phi2_mag) ** 2
-
-    g = _g_components(0.0, gap, phi2_mag, 0.0, s, 1.0)
-    p11, p12 = _phi1_candidates(n1, n2, tol_f, cs1, cs2, g, 1, 1)
-    # an already diagonal matrix has no usable route and gets phi1 = 0: any
-    # phi1 rotates within the repeated eigenspace
-    angles, signs = _assemble_angles(n1, n2, p11, p12, 1, 1, phi2_mag, 0.0)
-    # wrapped_diff_mod_pi(p11, p12); NaN with one route only
-    candidate = (1, 1, p11, p12, abs(math.remainder(p11 - p12, math.pi)))
-    return angles, signs, (candidate,), n1, n2, False

@@ -22,6 +22,7 @@ from symdiag import (
     compute_pq,
     compute_v,
     compute_w,
+    degenerate_double,
     pq_expanded,
 )
 from symdiag.eig3 import _derotated, _g_components
@@ -265,6 +266,57 @@ def test_g_vectors_are_the_rotated_f_vectors(monkeypatch):
     assert vanishes_on_the_circle(g1y - (S1 * f1x + C1 * f1y))
     assert vanishes_on_the_circle(g2x - (cos2 * f2x - sin2 * f2y))
     assert vanishes_on_the_circle(g2y - (sin2 * f2x + cos2 * f2y))
+
+
+class SplitMath(TracedMath):
+    """TracedMath for degenerate_double: its two atan2 calls give phi1 and
+    phi2 in turn, with the sample the arguments give, and are recorded."""
+
+    def __init__(self):
+        self.atan2_args = []
+
+    def atan2(self, y, x):
+        self.atan2_args.append((y, x))
+        angle = ANGLES[len(self.atan2_args) - 1]
+        return Traced(angle, math.atan2(float(y), float(x)))
+
+    @staticmethod
+    def hypot(x, y):
+        return Traced(sympy.sqrt(x.expr**2 + y.expr**2),
+                      math.hypot(x.sample, y.sample))
+
+
+def test_double_root_split_reads_d_back(monkeypatch):
+    """On A = D diag(l1, l2, l3) D^T, for any l1 and l2, the cross product
+    of two rows of A - l3 I that degenerate_double takes is parallel to D's
+    third column (s2, -s1 c2, c1 c2), as a positive multiple at the sample:
+    its atan2 calls read phi1 and phi2 back.  The block of A over the first
+    two columns of Rx(phi1) Ry(phi2), which degenerate_double hands to
+    eig2's kernel, is then Rz(phi3) diag(l1, l2) Rz(phi3)^T: a rotation
+    inside the pair is exactly phi3, as Rz(0) Rz(phi3) = Rz(phi3)."""
+    traced_math = SplitMath()
+    blocks = []
+    monkeypatch.setattr("symdiag.eig3.math", traced_math)
+    monkeypatch.setattr("symdiag.eig3._solve2",
+                        lambda *args: blocks.append(args) or (0, 0, 0))
+    entries, samples = conjugated_symbols()
+    l1, l2, l3 = LAMBDAS
+    degenerate_double(traced_mat(entries, samples),
+                      Traced(l3, LAMBDA_SAMPLE[2]))
+    (minus_y, z), (x, _) = traced_math.atan2_args
+    column = (S2, -S1 * C2, C1 * C2)
+    v = (expr(x), -expr(minus_y), expr(z))
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        assert vanishes_on_the_circle(v[i] * column[j] - v[j] * column[i])
+    # the atan2 samples are phi1 and phi2 of D, not their twins
+    got = [math.atan2(float(y), float(x)) for y, x in traced_math.atan2_args]
+    assert max(abs(g - w) for g, w in zip(got, ANGLE_SAMPLE)) < 1e-12
+    (b11, b22, b12), = blocks
+    assert vanishes_on_the_circle(in_ci_si(b11) - (C3**2 * l1 + S3**2 * l2))
+    assert vanishes_on_the_circle(in_ci_si(b22) - (S3**2 * l1 + C3**2 * l2))
+    assert vanishes_on_the_circle(in_ci_si(b12) - C3 * S3 * (l1 - l2))
+    rz = rotations()[2]
+    assert rz.subs({C3: 1, S3: 0}) * rz == rz
 
 
 def test_derotated_rotation_gives_the_read_back_angles():

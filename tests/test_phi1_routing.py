@@ -1,10 +1,10 @@
 """eig3._route_phi1 against the routing chain it folds (phi1_reference).
 
-The fold must not move a bit: diagonalize3 with eig3's resolve_signs and
-degenerate_double is compared, field by field by repr, with diagonalize3
-running the reference versions of both, on corpora that reach every
-branch, both routes and neither, near-ties, (+,-) winners and the twin
-rule's flips.
+The fold must not move a bit: diagonalize3 with eig3's resolve_signs is
+compared, field by field by repr, with diagonalize3 running the reference
+version, on corpora that reach every branch, both routes and neither,
+near-ties, (+,-) winners and the twin rule's flips.  The 102 000 rows are
+the bit pin of every Generic, AlreadyDiagonal2D and TripleRoot result.
 """
 
 import math
@@ -15,6 +15,7 @@ from symdiag import Branch, SymMat3, diagonalize3, eig3, f_vectors
 from symdiag.core import rotation_entries
 
 import phi1_reference
+from conftest import graded_rows
 from perfbench.workloads import (clustered_chunk, near_double_chunk,
                                  scaled_chunk, uniform_chunk)
 
@@ -54,13 +55,7 @@ def corpus():
     rows[:, 3:5] *= 10.0 ** -rng.integers(4, 17, (8000, 1))
     parts.append(rows)
     parts.append(_near_half_pi(rng, 8000))
-    # graded: G U G with G = diag(1, 10^-k, 10^-2k), k in 2..8
-    g = 10.0 ** -rng.integers(2, 9, 8000)
-    u = rng.uniform(-1.0, 1.0, (8000, 6))
-    gd = np.stack([np.ones(8000), g, g * g], axis=1)
-    parts.append(u * np.concatenate(
-        [gd * gd, gd[:, [0]] * gd[:, [1]], gd[:, [0]] * gd[:, [2]],
-         gd[:, [1]] * gd[:, [2]]], axis=1))
+    parts.append(graded_rows(rng, 8000))
     # mean-shift: c I + 10^-i U, |c| in [1, 1e4], i in 1..5
     c = np.where(rng.uniform(size=8000) < 0.5, -1.0, 1.0) * 10.0 ** (
         rng.uniform(0.0, 4.0, 8000))
@@ -91,8 +86,6 @@ def test_fold_is_bit_identical_to_the_chain(monkeypatch):
     assert len(rows) >= 100_000
     got = solve_all(rows)
     monkeypatch.setattr(eig3, "resolve_signs", phi1_reference.resolve_signs)
-    monkeypatch.setattr(eig3, "degenerate_double",
-                        phi1_reference.degenerate_double)
     want = solve_all(rows)
     bad = [(rows[i], g, w) for i, (g, w) in enumerate(zip(got, want))
            if g != w]
@@ -115,10 +108,9 @@ def test_fold_is_bit_identical_to_the_chain(monkeypatch):
 
 
 def test_f_norms_are_those_of_f_vectors():
-    """resolve_signs and degenerate_double (through the report) and the
-    TripleRoot branch give f1_norm and f2_norm as math.hypot of the
-    f_vectors entries, bit for bit, on matrices diagonalize3 solves
-    unnormalized."""
+    """resolve_signs (through the report) and the DoubleRoot and TripleRoot
+    branches give f1_norm and f2_norm as math.hypot of the f_vectors
+    entries, bit for bit, on matrices diagonalize3 solves unnormalized."""
     rng = np.random.default_rng(2028)
     rows = uniform_chunk(rng, 2000)[0].tolist()
     rows += clustered_chunk(rng, 2000)[0].tolist()

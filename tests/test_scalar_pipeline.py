@@ -289,8 +289,9 @@ def triple_root_rows(n, seed):
 
 
 def test_polish_runs_on_generic_results_only(monkeypatch):
-    # no rotation lowers a DoubleRoot residual (set by the repeated root)
-    # or a TripleRoot one (D . lam I . D^T = lam I), so neither is polished
+    # a DoubleRoot result leaves the correction nothing to do, and no
+    # rotation lowers a TripleRoot residual (D . lam I . D^T = lam I), so
+    # neither is polished
     calls = []
 
     def spy(*args):

@@ -7,11 +7,11 @@ squared cosines of phi2 and phi3 are rational in the matrix entries and
 eigenvalues, clamped to [0, 1] (_clamp_unit), which leaves their signs.
 D is invariant under (phi1 + pi, -phi2, -phi3), so resolve_signs scores
 (+,+) and (+,-) by how well two estimates of phi1 agree, in one
-straight-line routing body (_route_phi1) on the g-vector formula
-(_g_components), with the twin rule that keeps the signs right when an
-angle is wrapped by pi (as _half_turn_apart, which the Jacobi correction
-calls).  One Jacobi correction (_polish_angles) recovers the digits
-arccos(sqrt(.)) loses near 0 and pi/2.  The double-root branch
+straight-line routing body on the g-vector formula (_g_components), with
+the twin rule that keeps the signs right when an angle is wrapped by pi
+(as _half_turn_apart, which the Jacobi correction calls).  One Jacobi
+correction (_polish_angles) recovers the digits arccos(sqrt(.)) loses
+near 0 and pi/2.  The double-root branch
 (degenerate_double) scores nothing: the distinct root's eigenvector gives
 phi1 and phi2, and eig2's kernel on the pair's 2x2 block gives phi3 and
 the pair.  compute_pq's classification alone picks the branch, and
@@ -219,7 +219,7 @@ def compute_w(a: SymMat3, lambdas, v) -> float:
 
 def f_vectors(a: SymMat3):
     """The two entry-built 2-vectors used to recover phi1: f1 = (a12, -a13)
-    and f2 = (a22 - a33, -2 a23), as _route_phi1 builds them."""
+    and f2 = (a22 - a33, -2 a23), as resolve_signs builds them."""
     import numpy as np
     return np.array((a.a12, -a.a13)), np.array((a.a22 - a.a33, -2.0 * a.a23))
 
@@ -258,10 +258,16 @@ def _half_turn_apart(full, rep):
     return abs(math.remainder(full - rep, 2.0 * math.pi)) > 0.5 * math.pi
 
 
-def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale):
-    """phi1 from the f/g routes, the signs of phi2 and phi3, and the angles.
+def resolve_signs(a: SymMat3, lambdas, v, w, scale):
+    """Select the signs of phi2 and phi3 and recover phi1.
 
-    g is _g_components at the magnitudes phi2_mag, phi3_mag in [0, pi/2].
+    v and w are as compute_v and compute_w return them, in [0, 1], and
+    scale is ||A||_F.  Only (+,+) and (+,-) of (+-arccos sqrt(v),
+    +-arccos sqrt(w)), the two distinct rotations, are scored, on the
+    g-vectors _g_components gives at the magnitudes phi2_mag, phi3_mag in
+    [0, pi/2].  Near 0 or pi/2 the arccos of a square root amplifies
+    rounding in v and w, which diagonalize3's Jacobi correction recovers.
+
     With the f-vectors' norms n1, n2 and directions (c, s) = (cos psi, sin
     psi), phi1 is the angle of R(-psi1) g1 (the f1/g1 route, p11) and 2 phi1
     that of R(-psi2) g2 (the f2/g2 route, 2 p12), in (-pi, pi] as angle_of
@@ -275,29 +281,36 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale):
     ~6e-17) a nonzero g component exceeds ~1e-45, far above the
     subnormals, so no zero-vector check is made.
 
-    (+,+) and (+,-), the two distinct rotations, are scored: flipping phi3
-    negates g1x on the f1/g1 route and g2y on the f2/g2 route.  With both
-    routes available the smaller wrapped mod-pi difference between the two
-    phi1 estimates wins and a tie within TIE_EPS goes to (+,+); near_tie
-    flags a loser more than TIE_EPS and at most NEAR_TIE_EPS behind.  With
-    a single route (+,+) is used.
+    Flipping phi3 negates g1x on the f1/g1 route and g2y on the f2/g2
+    route.  With both routes available the smaller wrapped mod-pi
+    difference between the two phi1 estimates wins and a tie within
+    TIE_EPS goes to (+,+); near_tie flags a loser more than TIE_EPS and at
+    most NEAR_TIE_EPS behind.  With one route or none, (+,+) is used.
 
     phi1 is returned as wrap_half_pi of the routed estimate: p11, unless it
-    is NaN or p12 is available with the longer f-vector (0 when neither
-    route is available).  The f1/g1 route carries the full mod-2pi value
-    p11 of the rotation found; the f2/g2 route only determines phi1 mod pi.
-    So the twin rule compares the returned phi1 with p11, whichever route
-    gave it, and flips both selected signs when they are a half turn apart.
-    With f1 = 0 (p11 NaN) the sign choice is immaterial and nothing flips.
-    Returns what resolve_signs returns.
+    is NaN or p12 is available with the longer f-vector.  With neither
+    route available phi1 = 0; a matrix with both f-vectors at or below
+    tol_f has two eigenvalues within ~3e-14 * scale, so compute_pq
+    classifies it DoubleRoot first.  The f1/g1 route carries the full
+    mod-2pi value p11 of the rotation found; the f2/g2 route only
+    determines phi1 mod pi.  So the twin rule compares the returned phi1
+    with p11, whichever route gave it, and flips both selected signs when
+    they are a half turn apart.  With f1 = 0 (p11 NaN) the sign choice is
+    immaterial and nothing flips.  Returns (angles, selected_signs,
+    phi1_candidates, f1_norm, f2_norm, near_tie), the SolveReport fields
+    but the residual.
     """
+    phi2_mag = math.acos(math.sqrt(v))
+    phi3_mag = math.acos(math.sqrt(w))
+    l1, l2, l3 = lambdas
+    g1x, g1y, g2x, g2y = _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag,
+                                       v, w)
     _, a22, a33, a12, a13, a23 = a
     f1x, f1y = a12, -a13
     f2x, f2y = a22 - a33, -2.0 * a23
     n1 = math.hypot(f1x, f1y)
     n2 = math.hypot(f2x, f2y)
     tol_f = F_ZERO_EPS * scale
-    g1x, g1y, g2x, g2y = g
     # The route angles of (+,+), p11 and p12, and of (+,-), q11 and q12.
     # R(-psi) g = (c gx + s gy, c gy - s gx) comes from four products; the
     # (+,-) route negates g1x or g2y, which negates two of them exactly.
@@ -352,27 +365,6 @@ def _route_phi1(a: SymMat3, g, phi2_mag, phi3_mag, scale):
     else:
         angles = Angles3(phi1, phi2, phi3)
     return angles, (s2, s3), candidates, n1, n2, near_tie
-
-
-def resolve_signs(a: SymMat3, lambdas, v, w, scale):
-    """Select the signs of phi2 and phi3 and recover phi1.
-
-    v and w are as compute_v and compute_w return them, in [0, 1].  Only
-    (+,+) and (+,-) of (+-arccos sqrt(v), +-arccos sqrt(w)) are scored, by
-    _route_phi1.  Near 0 or pi/2 the arccos of a square root amplifies
-    rounding in v and w, which diagonalize3's Jacobi correction recovers.
-    With both f-vectors at or below tol_f, phi1 = 0; such a matrix has two
-    eigenvalues within ~3e-14 * scale, so compute_pq classifies it
-    DoubleRoot first.  scale is ||A||_F.  Returns (angles, selected_signs,
-    phi1_candidates, f1_norm, f2_norm, near_tie), the SolveReport fields
-    but the residual.
-    """
-    phi2_mag = math.acos(math.sqrt(v))
-    phi3_mag = math.acos(math.sqrt(w))
-    l1, l2, l3 = lambdas
-    return _route_phi1(
-        a, _g_components(l1 - l2, l2 - l3, phi2_mag, phi3_mag, v, w),
-        phi2_mag, phi3_mag, scale)
 
 
 def degenerate_double(a: SymMat3, lam3):
@@ -586,7 +578,7 @@ def diagonalize3(a: SymMat3) -> EigenDecomp3:
             angles, lambdas = degenerate_double(
                 a, lambdas[0] if pq.delta == 0.0 else lambdas[1])
             branch = _DOUBLE_ROOT
-        # nothing is scored: f_vectors(a)'s norms, as _route_phi1 takes them
+        # nothing is scored: f_vectors(a)'s norms, as resolve_signs takes them
         _, a22, a33, a12, a13, a23 = a
         n1, n2 = math.hypot(a12, -a13), math.hypot(a22 - a33, -2.0 * a23)
         signs, candidates, near_tie = (1, 1), (), False

@@ -1,5 +1,5 @@
 """The parent chain of the phi1 routing, kept verbatim as a bit-for-bit
-reference for eig3._route_phi1, which folds it into one body.
+reference for eig3.resolve_signs, which folds it into one body.
 
 resolve_signs here is eig3's entry point as it was written over _f_route,
 _select_signs, four _route_angle calls and _assemble_angles.

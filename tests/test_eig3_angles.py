@@ -131,6 +131,20 @@ class TestGVectorSigns:
             assert same_bits(h2, [g2[0], -g2[1]])
 
 
+def signs_on(a, g, v, w):
+    """resolve_signs on A and v, w (scale 1) with _g_components returning
+    the hand-built g = (g1x, g1y, g2x, g2y) in place of its formula."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eig3, "_g_components", lambda *args: g)
+        return eig3.resolve_signs(a, (3.0, 1.0, 2.0), v, w, 1.0)
+
+
+def cos2(mag):
+    """v (or w) = cos(mag)^2, whose magnitude in resolve_signs is
+    math.acos(math.sqrt(v)), mag to rounding."""
+    return math.cos(mag) ** 2
+
+
 class TestSelectSigns:
     # f1 = (cos 0.3, sin 0.3) and f2 = (n2, 0) put psi1 at 0.3 and psi2 at
     # 0.  g1 = (x, t) with x = +-1 puts phi1 at atan(t) - 0.3 for (+, x)
@@ -138,11 +152,11 @@ class TestSelectSigns:
     # both.  (+, x) therefore beats (+, -x) by 2 atan(t).
 
     def select(self, margin, winner_s3=1, n2=1.0):
-        """_route_phi1's selected candidate, candidates and near_tie."""
+        """resolve_signs' selected candidate, candidates and near_tie."""
         a = SymMat3(0.0, n2, 0.0, math.cos(0.3), -math.sin(0.3), 0.0)
         g = (float(winner_s3), math.tan(0.5 * margin), 1.0, 0.0)
-        _, (s2, s3), candidates, _, _, near_tie = eig3._route_phi1(
-            a, g, 0.4, 0.7, 1.0)
+        _, (s2, s3), candidates, _, _, near_tie = signs_on(
+            a, g, cos2(0.4), cos2(0.7))
         # the twin rule negates both selected signs or neither
         return candidates[0 if s2 * s3 == 1 else 1], candidates, near_tie
 
@@ -189,6 +203,25 @@ class TestSelectSigns:
             assert all(math.isnan(c[4]) and math.isnan(c[3])
                        for c in candidates)
             assert not near_tie
+
+    @pytest.mark.parametrize("a, g", [
+        # f1 = f2 = 0 (a12 = a13 = a23 = 0, a22 = a33), g from its formula
+        (SymMat3(2.0, 1.0, 1.0, 0.0, 0.0, 0.0), None),
+        # both f-vectors nonzero, g = 0
+        (SymMat3(0.0, 2.0, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_neither_route_gives_phi1_zero(self, a, g):
+        v, w = cos2(0.4), cos2(0.7)
+        if g is None:
+            result = eig3.resolve_signs(a, (3.0, 1.0, 2.0), v, w, 1.0)
+        else:
+            result = signs_on(a, g, v, w)
+        angles, signs, candidates, _, _, near_tie = result
+        assert all(math.isnan(x) for c in candidates for x in c[2:])
+        assert signs == (1, 1)
+        assert near_tie is False
+        assert same_bits(angles.as_tuple(), (0.0, math.acos(math.sqrt(v)),
+                                             math.acos(math.sqrt(w))))
 
 
 def _four_combo_select(combos, n1, n2, tol_f, cs1, cs2, g):
@@ -457,8 +490,8 @@ class TestComparisonsKeepBuiltinResults:
         assert prescaled == 3 * 5 + 1, prescaled
 
 
-def routed(p11, p12, phi2_mag, phi3_mag):
-    """_route_phi1 on f1 = (1, 0) and f2 = (2, 0) and a g that puts the
+def routed(p11, p12, v, w):
+    """resolve_signs on f1 = (1, 0) and f2 = (2, 0) and a g that puts the
     f1/g1 route at p11 and the f2/g2 route at 2 p12, to rounding: the f2/g2
     route has the longer f-vector and gives phi1.  With both f-vectors
     along the x-axis, (+,-) reads the routes at pi - p11 and -p12, so its
@@ -466,25 +499,30 @@ def routed(p11, p12, phi2_mag, phi3_mag):
     a = SymMat3(0.0, 2.0, 0.0, 1.0, 0.0, 0.0)
     g = (math.cos(p11), math.sin(p11),
          math.cos(2.0 * p12), math.sin(2.0 * p12))
-    return eig3._route_phi1(a, g, phi2_mag, phi3_mag, 1.0)[:2]
+    return signs_on(a, g, v, w)[:2]
 
 
 class TestAssembledAnglesInRange:
-    """_route_phi1 builds Angles3 without its wrap: the magnitudes lie in
+    """resolve_signs builds Angles3 without its wrap: the magnitudes lie in
     [0, pi/2], where the wrap only maps -pi/2 to pi/2 and -0.0 to 0.0.
     p11 = 0.3 - pi is a half turn from phi1 = 0.3, so both signs flip."""
 
     def test_minus_half_pi_becomes_half_pi(self):
-        angles, signs = routed(0.3 - math.pi, 0.3, 0.5 * math.pi, 0.2)
+        # v = 0: the phi2 magnitude is exactly pi/2
+        w = cos2(0.2)
+        angles, signs = routed(0.3 - math.pi, 0.3, 0.0, w)
         assert signs == (-1, -1)
         assert type(angles) is Angles3
         assert angles.phi1 == pytest.approx(0.3, abs=1e-15)
-        assert same_bits(angles.as_tuple()[1:], (0.5 * math.pi, -0.2))
+        assert same_bits(angles.as_tuple()[1:],
+                         (0.5 * math.pi, -math.acos(math.sqrt(w))))
 
     def test_negative_zero_becomes_positive_zero(self):
-        angles, signs = routed(0.3 - math.pi, 0.3, 0.2, 0.0)
+        # w = 1: the phi3 magnitude is exactly 0
+        v = cos2(0.2)
+        angles, signs = routed(0.3 - math.pi, 0.3, v, 1.0)
         assert signs == (-1, -1)
-        assert angles.phi2 == -0.2
+        assert angles.phi2 == -math.acos(math.sqrt(v))
         assert angles.phi3 == 0.0
         assert math.copysign(1.0, angles.phi3) == 1.0
 
@@ -558,13 +596,15 @@ class TestTwinRule:
     def test_assemble_flips_by_the_routed_phi1(self, p11, p12):
         # n2 > n1 routes phi1 through p12; the angles must span the
         # eigenvectors of the full angle p11 with the unflipped signs
-        angles, signs = routed(p11, p12, 0.4, 0.7)
+        v, w = cos2(0.4), cos2(0.7)
+        phi2_mag, phi3_mag = math.acos(math.sqrt(v)), math.acos(math.sqrt(w))
+        angles, signs = routed(p11, p12, v, w)
         assert signs == (-1, -1)
         assert angles.phi1 == pytest.approx(p12, abs=1e-15)
-        assert angles.as_tuple()[1:] == (-0.4, -0.7)
+        assert angles.as_tuple()[1:] == (-phi2_mag, -phi3_mag)
         lams = np.array([3.0, 1.0, 2.0])
         got, want = (compose_rotation(angles),
-                     compose_rotation((p11, 0.4, 0.7)))
+                     compose_rotation((p11, phi2_mag, phi3_mag)))
         np.testing.assert_allclose((got * lams) @ got.T,
                                    (want * lams) @ want.T, atol=1e-8)
 

@@ -1,9 +1,9 @@
-"""eig3._route_phi1 against the routing chain it folds (phi1_reference).
+"""eig3.resolve_signs against the routing chain it folds (phi1_reference).
 
 The fold must not move a bit: diagonalize3 with eig3's resolve_signs is
 compared, field by field by repr, with diagonalize3 running the reference
 version, on corpora that reach every branch, both routes and neither,
-near-ties, (+,-) winners and the twin rule's flips.  The 102 000 rows are
+near-ties, (+,-) winners and the twin rule's flips.  The 105 000 rows are
 the bit pin of every Generic, AlreadyDiagonal2D and TripleRoot result.
 """
 
@@ -43,8 +43,18 @@ def _near_half_pi(rng, k):
     return _sym_rows((d * lams[:, None, :]) @ np.swapaxes(d, 1, 2))
 
 
+def _mean_shift(rng, n, k_lo, k_hi):
+    """n rows c I + 10^-k U[-1, 1], |c| in [1, 1e4], k in k_lo..k_hi."""
+    c = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) * 10.0 ** (
+        rng.uniform(0.0, 4.0, n))
+    rows = 10.0 ** -rng.integers(k_lo, k_hi + 1, (n, 1)) * rng.uniform(
+        -1.0, 1.0, (n, 6))
+    rows[:, :3] += c[:, None]
+    return rows
+
+
 def corpus():
-    """About 102 000 rows, as lists of six floats."""
+    """About 105 000 rows, as lists of six floats."""
     rng = np.random.default_rng(2027)
     parts = [uniform_chunk(rng, 20000)[0],
              clustered_chunk(rng, 20000)[0],
@@ -56,14 +66,11 @@ def corpus():
     parts.append(rows)
     parts.append(_near_half_pi(rng, 8000))
     parts.append(graded_rows(rng, 8000))
-    # mean-shift: c I + 10^-i U, |c| in [1, 1e4], i in 1..5
-    c = np.where(rng.uniform(size=8000) < 0.5, -1.0, 1.0) * 10.0 ** (
-        rng.uniform(0.0, 4.0, 8000))
-    rows = 10.0 ** -rng.integers(1, 6, (8000, 1)) * rng.uniform(
-        -1.0, 1.0, (8000, 6))
-    rows[:, :3] += c[:, None]
-    parts.append(rows)
+    parts.append(_mean_shift(rng, 8000, 1, 5))
     parts.append(rng.integers(-3, 4, (5000, 6)).astype(float))
+    # near-triple mean-shift: TripleRoot at k >= 12, TripleRoot and Generic
+    # mixed at k 9..11, so the boundary between them is pinned too
+    parts.append(_mean_shift(rng, 3000, 9, 14))
     return np.concatenate(parts).tolist()
 
 
@@ -103,7 +110,8 @@ def test_fold_is_bit_identical_to_the_chain(monkeypatch):
             rep.selected_signs[0] * rep.selected_signs[1] == -1)
         seen["one_route"] += any(math.isnan(c[4])
                                  for c in rep.phi1_candidates)
-    del seen[Branch.TRIPLE_ROOT]  # it runs no routing
+    # TripleRoot runs no routing: the near-triple mean-shift rows reach it
+    assert seen[Branch.TRIPLE_ROOT] >= 2000, seen
     assert min(seen.values()) >= 5, seen
 
 
